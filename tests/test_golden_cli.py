@@ -1,0 +1,103 @@
+"""Golden CLI outputs: the stdout and exit code of `cli.main` for every
+subcommand, compared byte for byte with the files in tests/golden/expected.
+
+The problem files live in tests/golden/problems.  To regenerate the
+expected files after an intended change of output, run
+`PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from frobpde.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PROBLEMS = GOLDEN / "problems"
+EXPECTED = GOLDEN / "expected"
+CODES = EXPECTED / "exit_codes.json"
+
+_PER_PROBLEM = {
+    "solve": ["solve"],
+    "solve_csv": ["solve", "--format", "csv"],
+    "verify": ["verify"],
+    "verify_csv": ["verify", "--format", "csv"],
+    "radius": ["radius"],
+    "scan": ["scan-resonance"],
+    "scan_csv": ["scan-resonance", "--format", "csv"],
+    "classify": ["classify"],
+}
+
+_SKIP = ["--resonance-policy", "skip_removable"]
+
+
+def _cases():
+    """Case name -> argv, with problem files named relative to PROBLEMS."""
+    cases = {}
+    for problem in sorted(PROBLEMS.glob("*.json")):
+        for suffix, argv in _PER_PROBLEM.items():
+            cases[f"{problem.stem}.{suffix}"] = [argv[0], problem.name, *argv[1:]]
+    for name in ("disturbed_heat", "resonant"):
+        for suffix in ("solve", "solve_csv", "verify", "verify_csv", "radius"):
+            argv = _PER_PROBLEM[suffix]
+            cases[f"{name}.skip_removable.{suffix}"] = [argv[0], f"{name}.json", *argv[1:], *_SKIP]
+    cases.update({
+        "catalog_list": ["catalog", "list"],
+        "catalog_bessel_I": ["catalog", "solve", "bessel_I", "--param", "nu=0", "--order", "12",
+                             "--point", "0,0"],
+        "catalog_bessel_I_csv": ["catalog", "solve", "bessel_I", "--param", "nu=0", "--order", "12",
+                                 "--point", "0,0", "--format", "csv"],
+        "catalog_legendre_II": ["catalog", "solve", "legendre_II", "--param", "lam=0.7",
+                                "--order", "16"],
+        "catalog_disturbed_heat": ["catalog", "solve", "disturbed_heat", "--param", "a=1",
+                                   "--order", "10"],
+        "catalog_airy_I_csv": ["catalog", "solve", "airy_I", "--order", "15", "--format", "csv"],
+        "euler_heat": ["euler", "1", "0", "0", "1", "-1", "0"],
+        "euler_parabolic": ["euler", "1", "2", "1", "0.5", "-0.3", "0.2"],
+        "euler_hyperbolic": ["euler", "2", "0", "-1", "1", "1", "0"],
+        "transform_euler_to_constant": ["transform", "euler-coordinates", "1", "0", "0", "1", "-1", "0"],
+        "transform_euler_to_euler": ["transform", "euler-coordinates", "1", "2", "1", "0.5", "-0.3",
+                                     "0.2", "--direction", "to_euler"],
+        "transform_prepare": ["transform", "prepare-coordinates", "--A", "1+x", "--C", "1-y/2",
+                              "--order", "12"],
+        "transform_prepare_rational": ["transform", "prepare-coordinates", "--A", "2/(1-x) + x^2",
+                                       "--C", "1 + y + y^3", "--order", "10"],
+    })
+    return cases
+
+
+CASES = _cases()
+
+
+def _argv(argv):
+    return [str(PROBLEMS / a) if a.endswith(".json") else a for a in argv]
+
+
+def run_case(name):
+    """(exit code, stdout) of one golden case."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(_argv(CASES[name]))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    code, got = run_case(name)
+    assert code == json.loads(CODES.read_text())[name]
+    assert got.encode("utf-8") == (EXPECTED / f"{name}.out").read_bytes()
+
+
+def test_no_stale_expected_files():
+    assert {p.stem for p in EXPECTED.glob("*.out")} == set(CASES)
+
+
+if __name__ == "__main__":
+    codes = {}
+    for case in sorted(CASES):
+        codes[case], stdout = run_case(case)
+        (EXPECTED / f"{case}.out").write_bytes(stdout.encode("utf-8"))
+    CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
