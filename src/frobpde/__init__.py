@@ -22,17 +22,16 @@ from .errors import (
 )
 from .multiseries import (
     CSeries2,
-    MultiIndex,
-    analytic_transform,
+    antiderivative_x,
     cauchy_mul,
-    diff_x,
     divide_by_x,
+    exp_series,
     index_key,
     indices_up_to,
     layer,
-    max_abs_diff,
     norm,
     reciprocal,
+    sqrt_series,
 )
 from .expr_parser import parse_expr, pretty, to_series
 from .indicial import (

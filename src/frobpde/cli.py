@@ -202,22 +202,27 @@ def _pde_of(spec):
     return RegularSingularPDE(spec.A, spec.B, spec.C, spec.a, spec.b, spec.c)
 
 
-def _auto_point(spec, pde):
-    """Deterministic nonresonant-point search.
-
-    r runs over 0, 1/2, -1/2, 1, -1, 3/2, ...; for each r the solve_for_s
-    roots are tried in their fixed order; the first point whose resonance
-    scan up to the problem order is clean wins.
-    """
-    conic = pde.conic()
-    for k in range(0, 81):
+def _r_candidates(conic, count):
+    """(r, roots) for the first `count` values of r in 0, 1/2, -1/2, 1, -1,
+    3/2, ..., with the solve_for_s roots in their fixed order.  An r without
+    a root is skipped; when every s is a root, s = 0 stands for them."""
+    for k in range(count):
         r = 0.0 if k == 0 else ((k + 1) // 2) * 0.5 * (1 if k % 2 else -1)
         try:
             roots = solve_for_s(conic, r)
         except NoSolution:
             continue
-        if roots is ALL_SOLUTIONS:
-            roots = [0j]
+        yield r, [0j] if roots is ALL_SOLUTIONS else roots
+
+
+def _auto_point(spec, pde):
+    """Deterministic nonresonant-point search.
+
+    The candidates come from _r_candidates; the first point whose resonance
+    scan up to the problem order is clean wins.
+    """
+    conic = pde.conic()
+    for r, roots in _r_candidates(conic, 81):
         for s in roots:
             try:
                 report = resonance_scan(conic, r, s, spec.order, spec.tol)
@@ -246,15 +251,23 @@ def _cmd_classify(args):
     _emit_json({"conic": conic.to_json(), "class": result.to_json()})
 
 
-def _cmd_solve(args):
+def _solved(args):
+    """(pde, solution) for the problem file at its resolved point."""
     spec = load_problem(args.problem)
     pde = _pde_of(spec)
     r0, s0 = _resolve_point(spec, pde)
-    sol = solve(pde, r0, s0, spec.order, tol=spec.tol, resonance_policy=args.resonance_policy)
-    if args.format == "csv":
-        _emit_csv(("q1", "q2", "re", "im"), sol.to_csv_rows())
+    return pde, solve(pde, r0, s0, spec.order, tol=spec.tol, resonance_policy=args.resonance_policy)
+
+
+def _emit_solution(sol, fmt):
+    if fmt == "csv":
+        _emit_csv(("q1", "q2", "re", "im"), sol.to_json_array())
     else:
         _emit_json(sol.to_json())
+
+
+def _cmd_solve(args):
+    _emit_solution(_solved(args)[1], args.format)
 
 
 def _cmd_scan(args):
@@ -269,11 +282,7 @@ def _cmd_scan(args):
 
 
 def _cmd_verify(args):
-    spec = load_problem(args.problem)
-    pde = _pde_of(spec)
-    r0, s0 = _resolve_point(spec, pde)
-    sol = solve(pde, r0, s0, spec.order, tol=spec.tol, resonance_policy=args.resonance_policy)
-    report = residual_max(pde, sol)
+    report = residual_max(*_solved(args))
     if args.format == "csv":
         rows = [(n, v) for n, v in sorted(report.per_layer.items())]
         _emit_csv(("layer", "max_abs_residual"), rows)
@@ -282,10 +291,7 @@ def _cmd_verify(args):
 
 
 def _cmd_radius(args):
-    spec = load_problem(args.problem)
-    pde = _pde_of(spec)
-    r0, s0 = _resolve_point(spec, pde)
-    sol = solve(pde, r0, s0, spec.order, tol=spec.tol, resonance_policy=args.resonance_policy)
+    sol = _solved(args)[1]
     estimate = radius_estimate(sol)
     _emit_json(
         {
@@ -308,16 +314,8 @@ def _cmd_euler(args):
     payload = {"conic": conic.to_json(), "class": classify(conic, args.tol).to_json()}
 
     samples = []
-    for k in range(0, 9):
-        r = 0.0 if k == 0 else ((k + 1) // 2) * 0.5 * (1 if k % 2 else -1)
-        try:
-            roots = solve_for_s(conic, r)
-        except NoSolution:
-            continue
-        if roots is ALL_SOLUTIONS:
-            roots = [0j]
-        for s in roots:
-            samples.append([r, 0.0, s.real, s.imag])
+    for r, roots in _r_candidates(conic, 9):
+        samples += [[r, 0.0, s.real, s.imag] for s in roots]
         if len(samples) >= 4:
             break
     payload["monomial_exponents"] = samples
@@ -363,11 +361,7 @@ def _cmd_catalog_solve(args):
         if len(parts) != 2:
             raise SchemaError('--point needs "r,s" or "auto"', "/point")
         r0, s0 = (complex(p) for p in parts)
-    sol = catalog_mod.solve_entry(ent, r0, s0, args.order)
-    if args.format == "csv":
-        _emit_csv(("q1", "q2", "re", "im"), sol.to_csv_rows())
-    else:
-        _emit_json(sol.to_json())
+    _emit_solution(catalog_mod.solve_entry(ent, r0, s0, args.order), args.format)
 
 
 def _cmd_transform(args):
@@ -402,7 +396,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _CLIUsageError(message)
 
 
-def _add_common(parser, fmt=True):
+def _add_common(parser, fmt=True, solves=False):
+    if solves:
+        parser.add_argument("--resonance-policy", choices=("strict", "skip_removable"), default="strict")
     if fmt:
         parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--meta", action="store_true", help="write a timestamped record to stderr")
@@ -419,8 +415,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="run the Frobenius recurrence")
     p.add_argument("problem")
-    p.add_argument("--resonance-policy", choices=("strict", "skip_removable"), default="strict")
-    _add_common(p)
+    _add_common(p, solves=True)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("scan-resonance", help="resonance scan at the problem point")
@@ -450,8 +445,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="independent residual check of a solve")
     p.add_argument("problem")
-    p.add_argument("--resonance-policy", choices=("strict", "skip_removable"), default="strict")
-    _add_common(p)
+    _add_common(p, solves=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("transform", help="coordinate transforms")
@@ -466,8 +460,7 @@ def build_parser():
 
     p = sub.add_parser("radius", help="solve and estimate the convergence radius")
     p.add_argument("problem")
-    p.add_argument("--resonance-policy", choices=("strict", "skip_removable"), default="strict")
-    _add_common(p, fmt=False)
+    _add_common(p, fmt=False, solves=True)
     p.set_defaults(func=_cmd_radius)
 
     return parser

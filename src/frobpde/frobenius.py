@@ -9,11 +9,19 @@ dividing the convolution term e_Q by P(r0+q1, s0+q2).
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import BasePointNotOnConic, MissingPriorCoefficient, ResonantPoint
+from .errors import MissingPriorCoefficient, ResonantPoint, ZeroConstantTerm
 from .indicial import DEFAULT_TOL, indicial_of, resonance_scan
-from .multiseries import CSeries2, MultiIndex, analytic_transform, divide_by_x, index_key
+from .multiseries import (
+    CSeries2,
+    antiderivative_x,
+    divide_by_x,
+    exp_series,
+    index_key,
+    reciprocal,
+    sqrt_series,
+)
 
 
 @dataclass(frozen=True)
@@ -91,45 +99,31 @@ def convergence_report(A, B, C, tol=DEFAULT_TOL):
     return ConvergenceReport(parabolic, elliptic, hyperbolic, general)
 
 
-@dataclass(frozen=True)
-class FrobeniusSolution:
-    r0: complex
-    s0: complex
-    order: int
-    coeffs: dict  # MultiIndex -> complex, zeros pruned, D_{0,0} = 1
-    resonance_certificate: object
-    convergence: ConvergenceReport = field(default=None)
+class FrobeniusSolution(CSeries2):
+    """x^r0 y^s0 sum D_Q x^q1 y^q2: the coefficient series (D_{0,0} = 1) with
+    its exponent pair, the resonance scan it was solved under and the
+    convergence report of its leading coefficients."""
 
-    def get(self, Q):
-        return self.coeffs.get(MultiIndex(*Q), 0j)
+    __slots__ = ("r0", "s0", "resonance_certificate", "convergence")
 
-    def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: index_key(kv[0]))
-
-    def series(self):
-        return CSeries2(self.order, self.coeffs)
-
-    def layer_sums(self):
-        """d_n = sum of coefficient magnitudes on each lattice layer."""
-        sums = [0.0] * (self.order + 1)
-        for (q1, q2), v in self.coeffs.items():
-            sums[q1 + q2] += abs(v)
-        return sums
+    def __init__(self, r0, s0, order, coeffs, resonance_certificate, convergence=None):
+        super().__init__(order, coeffs)
+        object.__setattr__(self, "r0", r0)
+        object.__setattr__(self, "s0", s0)
+        object.__setattr__(self, "resonance_certificate", resonance_certificate)
+        object.__setattr__(self, "convergence", convergence)
 
     def to_json(self):
         out = {
             "r0": [self.r0.real, self.r0.imag],
             "s0": [self.s0.real, self.s0.imag],
             "order": self.order,
-            "coeffs": [[q1, q2, v.real, v.imag] for (q1, q2), v in self.items()],
+            "coeffs": self.to_json_array(),
             "resonance": self.resonance_certificate.to_json(),
         }
         if self.convergence is not None:
             out["convergence"] = self.convergence.to_json()
         return out
-
-    def to_csv_rows(self):
-        return [(q1, q2, v.real, v.imag) for (q1, q2), v in self.items()]
 
 
 def recurrence_rhs(pde, r, s, Q, prior):
@@ -167,7 +161,8 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     e_Q also vanishes (the division 0*D_Q = 0 is then solved by D_Q = 0, a
     valid formal-solution choice, as in the disturbed heat model) and still
     refuses when e_Q is substantially nonzero.  The scan result is attached to
-    the solution as its resonance certificate either way.
+    the solution as its resonance certificate either way; an (r0, s0) off
+    the conic is refused by the scan with BasePointNotOnConic.
 
     The engine is indifferent to the convergence conditions: it computes
     formal solutions even when no sufficient condition holds.
@@ -179,11 +174,6 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     r0 = complex(r0)
     s0 = complex(s0)
     conic = indicial_of(pde)
-    base = conic.evaluate(r0, s0)
-    if abs(base) >= tol:
-        raise BasePointNotOnConic(
-            f"({r0}, {s0}) is not on the indicial conic: |P| = {abs(base):.3e}"
-        )
     certificate = resonance_scan(conic, r0, s0, N, tol)
     hit_set = {tuple(Q) for Q in certificate.hit_indices()}
     if hit_set and resonance_policy == "strict":
@@ -214,9 +204,8 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
             if abs(d) > scale:
                 scale = abs(d)
 
-    coeffs = {MultiIndex(*Q): v for Q, v in table.items() if v != 0}
     report = convergence_report(pde.A, pde.B, pde.C)
-    return FrobeniusSolution(r0, s0, N, coeffs, certificate, report)
+    return FrobeniusSolution(r0, s0, N, table, certificate, report)
 
 
 _RATIO_FIT_DEGREE = 2
@@ -248,21 +237,16 @@ def radius_estimate(sol, order=None):
       of log d_n against n over the nonzero top-half layers.
 
     Returns the +inf sentinel when every top-half layer vanishes or the rate
-    is zero or underflows, and 0.0 when it overflows.  Accepts a
-    FrobeniusSolution or a plain {(q1, q2): coefficient} table (with `order`
-    supplied in the latter case).
+    is zero or underflows, and 0.0 when it overflows.  Accepts a CSeries2
+    (a FrobeniusSolution is one) or a plain {(q1, q2): coefficient} table,
+    truncated at `order` (default: its highest layer).
     """
-    if hasattr(sol, "layer_sums"):
-        sums = sol.layer_sums()
-        N = sol.order
-    else:
+    if not isinstance(sol, CSeries2):
         if order is None:
             order = max((q1 + q2 for q1, q2 in sol), default=0)
-        N = order
-        sums = [0.0] * (N + 1)
-        for (q1, q2), v in sol.items():
-            if q1 + q2 <= N:
-                sums[q1 + q2] += abs(v)
+        sol = CSeries2(order, sol)
+    sums = sol.layer_sums()
+    N = sol.order
     if N < 10:
         raise ValueError("radius_estimate needs order N >= 10")
     if not any(sums[n] > 0.0 for n in range(N // 2, N + 1)):
@@ -361,9 +345,6 @@ def _prepare_one(series, axis):
     for (q1, q2) in series.coeffs:
         if q2 != 0:
             raise ValueError(f"coefficient series for {axis} must be univariate")
-    from .errors import ZeroConstantTerm
-    from .multiseries import reciprocal
-
     a0 = series.constant_term()
     if a0 == 0:
         raise ZeroConstantTerm("leading coefficient vanishes at the origin")
@@ -373,6 +354,6 @@ def _prepare_one(series, axis):
     fixed = dict(ratio.coeffs)
     fixed[(0, 0)] = 1.0
     ratio = CSeries2(ratio.order, fixed)
-    w = analytic_transform(ratio, "sqrt")
+    w = sqrt_series(ratio)
     shifted = divide_by_x(w - CSeries2.one(series.order))
-    return analytic_transform(analytic_transform(shifted, "antiderivative_x"), "exp")
+    return exp_series(antiderivative_x(shifted))

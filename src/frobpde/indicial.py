@@ -3,7 +3,6 @@
 from dataclasses import dataclass, field
 
 from .errors import BasePointNotOnConic, ComplexCoefficients, NoSolution
-from .multiseries import MultiIndex, index_key
 
 #: resonance / on-conic tolerance (absolute)
 DEFAULT_TOL = 1e-9
@@ -184,13 +183,12 @@ def resonance_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
         raise BasePointNotOnConic(
             f"({r0}, {s0}) is not on the conic: |P| = {abs(base):.3e} >= {tol:.3e}"
         )
-    hits = []
+    hits = []  # canonical order: ascending norm, then q1
     for n in range(1, N + 1):
         for q1 in range(n + 1):
             q2 = n - q1
             mag = abs(conic.evaluate(r0 + q1, s0 + q2))
             if mag < tol:
-                hits.append((MultiIndex(q1, q2), mag))
-    hits.sort(key=lambda h: index_key(h[0]))
-    nonres = N if not hits else min(h[0][0] + h[0][1] for h in hits) - 1
+                hits.append(((q1, q2), mag))
+    nonres = N if not hits else sum(hits[0][0]) - 1
     return ResonanceReport(r0, s0, N, tuple(hits), nonres)

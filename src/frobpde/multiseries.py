@@ -6,15 +6,10 @@ never stored, so equality of tables is structural.  The canonical iteration
 order is ascending norm, then ascending q1.
 """
 
+import cmath
 import math
-from typing import NamedTuple
 
 from .errors import ZeroConstantTerm
-
-
-class MultiIndex(NamedTuple):
-    q1: int
-    q2: int
 
 
 def norm(Q):
@@ -28,7 +23,7 @@ def index_key(Q):
 
 def layer(n):
     """All multi-indices of norm n in canonical order."""
-    return [MultiIndex(q1, n - q1) for q1 in range(n + 1)]
+    return [(q1, n - q1) for q1 in range(n + 1)]
 
 
 def indices_up_to(N):
@@ -60,7 +55,7 @@ class CSeries2:
                 z = complex(v)
                 _check_finite(z)
                 if z != 0:
-                    table[MultiIndex(q1, q2)] = z
+                    table[(q1, q2)] = z
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", table)
 
@@ -92,14 +87,21 @@ class CSeries2:
     # -- basic queries -----------------------------------------------------
 
     def get(self, Q):
-        return self.coeffs.get(MultiIndex(*Q), 0j)
+        return self.coeffs.get(Q, 0j)
 
     def constant_term(self):
-        return self.coeffs.get(MultiIndex(0, 0), 0j)
+        return self.coeffs.get((0, 0), 0j)
 
     def items(self):
         """Coefficients in canonical order."""
         return sorted(self.coeffs.items(), key=lambda kv: index_key(kv[0]))
+
+    def layer_sums(self):
+        """d_n = sum of coefficient magnitudes on each lattice layer."""
+        sums = [0.0] * (self.order + 1)
+        for (q1, q2), v in self.coeffs.items():
+            sums[q1 + q2] += abs(v)
+        return sums
 
     def __eq__(self, other):
         if not isinstance(other, CSeries2):
@@ -111,7 +113,7 @@ class CSeries2:
 
     def __repr__(self):
         terms = [f"({q1},{q2}):{v}" for (q1, q2), v in self.items()]
-        return f"CSeries2(order={self.order}, {{{', '.join(terms)}}})"
+        return f"{type(self).__name__}(order={self.order}, {{{', '.join(terms)}}})"
 
     # -- ring operations ---------------------------------------------------
 
@@ -167,14 +169,6 @@ class CSeries2:
         return CSeries2(order, {(q1, q2): complex(re, im) for q1, q2, re, im in data})
 
 
-def max_abs_diff(f, g):
-    """Largest coefficient difference up to the common order (test helper)."""
-    order = min(f.order, g.order)
-    keys = {Q for Q in f.coeffs if norm(Q) <= order}
-    keys |= {Q for Q in g.coeffs if norm(Q) <= order}
-    return max((abs(f.get(Q) - g.get(Q)) for Q in keys), default=0.0)
-
-
 def cauchy_mul(f, g):
     """Full convolution product, truncated at min(order(f), order(g))."""
     order = min(f.order, g.order)
@@ -197,7 +191,7 @@ def reciprocal(f):
     if f0 == 0:
         raise ZeroConstantTerm("reciprocal of a series with zero constant term")
     inv0 = 1.0 / f0
-    out = {MultiIndex(0, 0): inv0}
+    out = {(0, 0): inv0}
     higher = {Q: v for Q, v in f.coeffs.items() if Q != (0, 0)}
     for Q in indices_up_to(f.order):
         if Q == (0, 0):
@@ -206,7 +200,7 @@ def reciprocal(f):
         acc = 0j
         for (p1, p2), fv in higher.items():
             if p1 <= q1 and p2 <= q2:
-                prev = out.get(MultiIndex(q1 - p1, q2 - p2))
+                prev = out.get((q1 - p1, q2 - p2))
                 if prev is not None:
                     acc += fv * prev
         if acc != 0:
@@ -214,14 +208,13 @@ def reciprocal(f):
     return CSeries2(f.order, out)
 
 
-def _sqrt_series(f):
+def sqrt_series(f):
+    """Principal square root of a unit series, to the same order."""
     f0 = f.constant_term()
     if f0 == 0:
         raise ZeroConstantTerm("sqrt of a series with zero constant term")
-    import cmath
-
     g0 = cmath.sqrt(f0)
-    out = {MultiIndex(0, 0): g0}
+    out = {(0, 0): g0}
     for Q in indices_up_to(f.order):
         if Q == (0, 0):
             continue
@@ -231,7 +224,7 @@ def _sqrt_series(f):
             if (p1, p2) == (0, 0):
                 continue
             if p1 <= q1 and p2 <= q2 and (p1, p2) != (q1, q2):
-                partner = out.get(MultiIndex(q1 - p1, q2 - p2))
+                partner = out.get((q1 - p1, q2 - p2))
                 if partner is not None and (q1 - p1, q2 - p2) != (0, 0):
                     acc += gv * partner
         gq = (f.get(Q) - acc) / (2.0 * g0)
@@ -240,9 +233,8 @@ def _sqrt_series(f):
     return CSeries2(f.order, out)
 
 
-def _exp_series(f):
-    import cmath
-
+def exp_series(f):
+    """exp of a series, to the same order."""
     f0 = f.constant_term()
     g = f - CSeries2.constant(f0, f.order)  # zero constant term
     result = CSeries2.one(f.order)
@@ -257,31 +249,12 @@ def _exp_series(f):
     return result
 
 
-def _antiderivative_x(f):
+def antiderivative_x(f):
+    """Term-wise antiderivative in x with zero constant of integration."""
     out = {}
     for (q1, q2), v in f.coeffs.items():
         if q1 + 1 + q2 <= f.order:
             out[(q1 + 1, q2)] = v / (q1 + 1)
-    return CSeries2(f.order, out)
-
-
-def analytic_transform(f, mode):
-    """sqrt, exp, or antiderivative in x of a series."""
-    if mode == "sqrt":
-        return _sqrt_series(f)
-    if mode == "exp":
-        return _exp_series(f)
-    if mode == "antiderivative_x":
-        return _antiderivative_x(f)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def diff_x(f):
-    """Term-wise d/dx (helper for the preparation-identity checks)."""
-    out = {}
-    for (q1, q2), v in f.coeffs.items():
-        if q1 >= 1:
-            out[(q1 - 1, q2)] = v * q1
     return CSeries2(f.order, out)
 
 

@@ -11,14 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import OutsideEstimatedDomain
-from .multiseries import CSeries2, MultiIndex, cauchy_mul, index_key, norm
-
-
-def _coeff_table(coeffs):
-    """Accept a FrobeniusSolution, CSeries2, or plain dict."""
-    if hasattr(coeffs, "coeffs"):
-        return dict(coeffs.coeffs)
-    return {MultiIndex(*Q): complex(v) for Q, v in coeffs.items()}
+from .multiseries import CSeries2, cauchy_mul, norm
 
 
 def apply_operator(pde, r0, s0, coeffs):
@@ -27,33 +20,33 @@ def apply_operator(pde, r0, s0, coeffs):
     The output coefficient at Q equals P(r0+q1, s0+q2) d_Q + e_Q.  Computed
     here as T2 + a * Sx + b * Sy + c * S where T2 carries the pure
     second-order weights A(q1+r)(q1+r-1) + B(q1+r)(q2+s) + C(q2+s)(q2+s-1)
-    and Sx, Sy, S are the shifted/unshifted coefficient series.
+    and Sx, Sy, S are the shifted/unshifted coefficient series.  `coeffs` is
+    a CSeries2 (a FrobeniusSolution is one), computed to its order, or a
+    plain {(q1, q2): d} table, computed to its highest layer.
     """
     r0 = complex(r0)
     s0 = complex(s0)
-    table = _coeff_table(coeffs)
-    M = max((norm(Q) for Q in table), default=0)
+    S = coeffs
+    if not isinstance(S, CSeries2):
+        S = CSeries2(max(map(norm, coeffs), default=0), coeffs)
+    M = S.order
     if pde.order < M:
         raise ValueError("pde series order must be >= coefficient table order")
     A, B, C = complex(pde.A), complex(pde.B), complex(pde.C)
     t2 = {}
     sx = {}
     sy = {}
-    for (q1, q2), d in table.items():
+    for (q1, q2), d in S.coeffs.items():
         rr = q1 + r0
         ss = q2 + s0
         t2[(q1, q2)] = (A * rr * (rr - 1) + B * rr * ss + C * ss * (ss - 1)) * d
         sx[(q1, q2)] = rr * d
         sy[(q1, q2)] = ss * d
     T2 = CSeries2(M, t2)
-    S = CSeries2(M, table)
     Sx = CSeries2(M, sx)
     Sy = CSeries2(M, sy)
-    a = pde.a.truncate(M) if pde.a.order > M else pde.a
-    b = pde.b.truncate(M) if pde.b.order > M else pde.b
-    c = pde.c.truncate(M) if pde.c.order > M else pde.c
-    out = T2 + cauchy_mul(a, Sx) + cauchy_mul(b, Sy) + cauchy_mul(c, S)
-    return dict(out.coeffs)
+    out = T2 + cauchy_mul(pde.a, Sx) + cauchy_mul(pde.b, Sy) + cauchy_mul(pde.c, S)
+    return out.coeffs
 
 
 def perturbation_degree(pde):
@@ -84,9 +77,7 @@ def residual_max(pde, solution):
     truncation order, so checking them would produce false failures.
     """
     deg = perturbation_degree(pde)
-    order = solution.order if hasattr(solution, "order") else max(
-        (norm(Q) for Q in _coeff_table(solution)), default=0
-    )
+    order = solution.order
     checked = max(0, order - deg)
     out = apply_operator(pde, solution.r0, solution.s0, solution) if hasattr(
         solution, "r0"
@@ -122,8 +113,5 @@ def eval_solution(solution, x, y, check_domain=True):
                 OutsideEstimatedDomain,
                 stacklevel=2,
             )
-    total = 0j
-    for (q1, q2), v in sorted(solution.coeffs.items(), key=lambda kv: index_key(kv[0])):
-        total += v * (x ** q1) * (y ** q2)
     prefactor = cmath.exp(complex(solution.r0) * math.log(x) + complex(solution.s0) * math.log(y))
-    return prefactor * total
+    return prefactor * solution.evaluate(x, y)

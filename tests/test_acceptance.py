@@ -22,7 +22,8 @@ from frobpde.frobenius import (
     solve,
 )
 from frobpde.indicial import IndicialConic, classify, resonance_scan
-from frobpde.multiseries import CSeries2, cauchy_mul, max_abs_diff
+from frobpde.multiseries import CSeries2, cauchy_mul
+from helpers import max_abs_diff
 from frobpde.verify import apply_operator, residual_max
 
 

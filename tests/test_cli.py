@@ -91,6 +91,13 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["solve"]) == 1
 
+    def test_nonfinite_coefficients_refused(self, tmp_path, capsys):
+        # D_(1,0) = -1e300 and D_(2,0) overflows to inf
+        assert main(["solve", write(tmp_path, dict(BESSEL, c="1e300*x", order=6))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-finite coefficient")
+
 
 class TestSolveOutput:
     def test_json_payload(self, tmp_path, capsys):

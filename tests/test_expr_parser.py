@@ -8,7 +8,8 @@ from frobpde.errors import (
     UnboundParameter,
 )
 from frobpde.expr_parser import parse_expr, pretty, to_series
-from frobpde.multiseries import CSeries2, max_abs_diff
+from frobpde.multiseries import CSeries2
+from helpers import max_abs_diff
 
 
 def ev(text, params=None, order=6):

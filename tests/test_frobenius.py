@@ -20,7 +20,8 @@ from frobpde.frobenius import (
     recurrence_rhs,
     solve,
 )
-from frobpde.multiseries import CSeries2, cauchy_mul, diff_x, max_abs_diff
+from frobpde.multiseries import CSeries2, cauchy_mul
+from helpers import max_abs_diff
 
 
 def make_pde(A, B, C, a, b, c, params=None, order=12):
@@ -122,7 +123,7 @@ class TestSolveBasics:
         sol = solve(pde, 0, 0, 4)
         data = sol.to_json()
         assert data["coeffs"][0] == [0, 0, 1.0, 0.0]
-        assert sol.to_csv_rows()[1] == (2, 0, -0.25, 0.0)
+        assert sol.to_json_array()[1] == [2, 0, -0.25, 0.0]
 
 
 class TestRecurrenceRHS:
