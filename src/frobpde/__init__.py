@@ -80,6 +80,5 @@ from .verify import (
     ResidualReport,
     apply_operator,
     eval_solution,
-    perturbation_degree,
     residual_max,
 )

@@ -49,12 +49,6 @@ def apply_operator(pde, r0, s0, coeffs):
     return out.coeffs
 
 
-def perturbation_degree(pde):
-    """Highest total degree with a nonzero coefficient across a, b, c."""
-    keys = list(pde.a.coeffs) + list(pde.b.coeffs) + list(pde.c.coeffs)
-    return max((norm(Q) for Q in keys), default=0)
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     max_residual: float
@@ -70,27 +64,18 @@ class ResidualReport:
 
 
 def residual_max(pde, solution):
-    """Residual report for a solution coefficient table.
+    """Residual report of a FrobeniusSolution over every layer up to its order.
 
-    The top `deg` layers of the truncation are excluded: their residual
-    coefficients receive contributions from solution terms beyond the
-    truncation order, so checking them would produce false failures.
+    a, b and c have no negative exponents, so layer n of L[z] involves only
+    the D_Q with |Q| <= n: no layer up to the truncation order receives a
+    contribution from beyond it, and none is skipped.
     """
-    deg = perturbation_degree(pde)
-    order = solution.order
-    checked = max(0, order - deg)
-    out = apply_operator(pde, solution.r0, solution.s0, solution) if hasattr(
-        solution, "r0"
-    ) else None
-    if out is None:
-        raise TypeError("residual_max expects a FrobeniusSolution")
-    per_layer = {n: 0.0 for n in range(checked + 1)}
+    out = apply_operator(pde, solution.r0, solution.s0, solution)
+    per_layer = {n: 0.0 for n in range(solution.order + 1)}
     for Q, v in out.items():
         n = norm(Q)
-        if n <= checked:
-            per_layer[n] = max(per_layer[n], abs(v))
-    max_res = max(per_layer.values(), default=0.0)
-    return ResidualReport(max_res, per_layer, checked)
+        per_layer[n] = max(per_layer[n], abs(v))
+    return ResidualReport(max(per_layer.values()), per_layer, solution.order)
 
 
 def eval_solution(solution, x, y, check_domain=True):

@@ -2,15 +2,11 @@ import math
 
 import pytest
 
+from frobpde import catalog
 from frobpde.errors import OutsideEstimatedDomain
 from frobpde.expr_parser import parse_expr, to_series
-from frobpde.frobenius import RegularSingularPDE, solve
-from frobpde.verify import (
-    apply_operator,
-    eval_solution,
-    perturbation_degree,
-    residual_max,
-)
+from frobpde.frobenius import FrobeniusSolution, RegularSingularPDE, solve
+from frobpde.verify import apply_operator, eval_solution, residual_max
 
 
 def make_pde(A, B, C, a, b, c, order=12):
@@ -33,8 +29,7 @@ class TestApplyOperator:
     def test_engine_solution_annihilated(self):
         sol = solve(BESSEL, 0, 0, 20)
         out = apply_operator(BESSEL, 0, 0, sol)
-        checked = 20 - perturbation_degree(BESSEL)
-        bad = [v for Q, v in out.items() if Q[0] + Q[1] <= checked and abs(v) > 1e-12]
+        bad = [v for v in out.values() if abs(v) > 1e-12]
         assert bad == []
 
     def test_wrong_table_not_annihilated(self):
@@ -51,20 +46,46 @@ class TestResidualMax:
     def test_engine_output_verifies(self):
         sol = solve(BESSEL, 0, 0, 20)
         rep = residual_max(BESSEL, sol)
-        assert rep.checked_up_to == 18
+        assert rep.checked_up_to == 20
         assert rep.max_residual < 1e-10
-        assert set(rep.per_layer) == set(range(19))
+        assert set(rep.per_layer) == set(range(21))
 
     def test_json(self):
         sol = solve(BESSEL, 0, 0, 12)
         data = residual_max(BESSEL, sol).to_json()
-        assert data["checked_up_to"] == 10
+        assert data["checked_up_to"] == 12
         assert "max_residual" in data
 
-    def test_perturbation_degree(self):
-        assert perturbation_degree(BESSEL) == 2
-        pde = make_pde(1, 0, 0, "1 - x*y", "-1", "0")
-        assert perturbation_degree(pde) == 2
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("bessel_I", {"nu": 0}),
+            ("bessel_II", {"nu": 0}),
+            ("airy_I", {}),
+            ("airy_II", {}),
+            ("hermite_I", {"lam": 1.3}),
+            ("hermite_II", {"lam": 1.3}),
+            ("legendre_I", {"lam": 0.7}),
+            ("legendre_II", {"lam": 0.7}),
+            ("chebyshev_I", {"p": 0.7}),
+            ("chebyshev_II", {"p": 0.7}),
+            ("laguerre_I", {"lam": 1.3}),
+            ("laguerre_II", {"lam": 1.3}),
+            ("disturbed_heat", {"a": 1}),
+        ],
+    )
+    def test_corrupted_coefficient_flagged(self, name, params):
+        # a 1e-3 error in one middle-layer coefficient, stored or not, must
+        # show in the residual of every model, rational coefficients included
+        N = 30
+        ent = catalog.entry(name, **params)
+        sol = catalog.solve_entry(ent, N=N)
+        pde = catalog.make_pde(ent, N)
+        assert residual_max(pde, sol).max_residual < 1e-12
+        coeffs = dict(sol.coeffs)
+        coeffs[(15, 0)] = sol.get((15, 0)) + 1e-3
+        bad = FrobeniusSolution(sol.r0, sol.s0, N, coeffs, sol.resonance_certificate)
+        assert residual_max(pde, bad).max_residual > 1e-6
 
 
 class TestEvalSolution:
