@@ -175,7 +175,7 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     s0 = complex(s0)
     conic = indicial_of(pde)
     certificate = resonance_scan(conic, r0, s0, N, tol)
-    hit_set = {tuple(Q) for Q in certificate.hit_indices()}
+    hit_set = set(certificate.hit_indices())
     if hit_set and resonance_policy == "strict":
         raise ResonantPoint(
             f"resonant point ({r0}, {s0}): P vanishes at shifts {sorted(hit_set)}",

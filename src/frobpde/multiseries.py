@@ -62,6 +62,10 @@ class CSeries2:
     def __setattr__(self, name, value):
         raise AttributeError("CSeries2 is immutable")
 
+    def __setstate__(self, state):  # unpickling and copy bypass __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,12 @@ class TestSolveBasics:
         data = sol.to_json()
         assert data["coeffs"][0] == [0, 0, 1.0, 0.0]
         assert sol.to_json_array()[1] == [2, 0, -0.25, 0.0]
+
+    def test_pickle_round_trip(self):
+        pde = make_pde(1, 2, 1, "1", "1", "x^2")
+        sol = solve(pde, 0, 0, 6)
+        back = pickle.loads(pickle.dumps(sol))
+        assert back == sol and back.to_json() == sol.to_json()
 
 
 class TestRecurrenceRHS:

@@ -104,11 +104,15 @@ class TestEvalSolution:
         assert eval_solution(sol, x, y) == pytest.approx(x / y * plain, rel=1e-12)
 
     def test_domain_warning(self):
-        # geometric-type solution with finite radius: Laguerre-like with growth
-        pde = make_pde(1, 0, 0, "1 - x*y", "-1", "0", order=30)
-        sol = solve(pde, 0.5, 0.25, 30, resonance_policy="skip_removable")
+        # the coefficients carry 1/(1 - x^2): radius 1 (estimated 1.00002)
+        import warnings
+
+        sol = catalog.solve_entry(catalog.entry("legendre_I", lam=0.7), 0.5, 0.5, 40)
         with pytest.warns(OutsideEstimatedDomain):
-            eval_solution(sol, 9.0, 9.0)
+            eval_solution(sol, 1.5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eval_solution(sol, 0.5, 0.5)
 
     def test_no_warning_inside(self):
         import warnings
