@@ -40,7 +40,7 @@ def _cases():
     for problem in sorted(PROBLEMS.glob("*.json")):
         for suffix, argv in _PER_PROBLEM.items():
             cases[f"{problem.stem}.{suffix}"] = [argv[0], problem.name, *argv[1:]]
-    for name in ("disturbed_heat", "resonant"):
+    for name in ("disturbed_heat", "disturbed_heat_40", "resonant"):
         for suffix in ("solve", "solve_csv", "verify", "verify_csv", "radius"):
             argv = _PER_PROBLEM[suffix]
             cases[f"{name}.skip_removable.{suffix}"] = [argv[0], f"{name}.json", *argv[1:], *_SKIP]
