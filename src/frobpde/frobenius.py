@@ -126,31 +126,60 @@ class FrobeniusSolution(CSeries2):
         return out
 
 
+def _support(pde):
+    """(m1, m2, a_m, b_m, c_m) for every monomial m != (0, 0) of a, b or c,
+    in canonical order."""
+    support = set(pde.a.coeffs) | set(pde.b.coeffs) | set(pde.c.coeffs)
+    support.discard((0, 0))
+    return [
+        (m1, m2, pde.a.get((m1, m2)), pde.b.get((m1, m2)), pde.c.get((m1, m2)))
+        for m1, m2 in sorted(support, key=index_key)
+    ]
+
+
+def _layer_rhs(support, r, s, n, rows):
+    """The convolution terms e_Q of layer n, as {q1: e_Q} over the Q that
+    some prior in `rows` reaches.
+
+    rows[k] lists the (q1, D_Q) of layer k < n.  Each pair (P, m) with
+    |P| + |m| = n adds [(p1+r) a_m + (p2+s) b_m + c_m] D_P to e_{P+m}, and
+    the monomials come in canonical order, so every e_Q sums its terms in
+    canonical monomial order, starting from +0j.  A Q no prior reaches
+    has e_Q = 0.
+    """
+    acc = {}
+    for m1, m2, am, bm, cm in support:
+        k = n - m1 - m2
+        if k < 0:
+            break
+        for i, d in rows[k]:
+            q = i + m1
+            acc[q] = acc.get(q, 0j) + ((i + r) * am + (k - i + s) * bm + cm) * d
+    return acc
+
+
 def recurrence_rhs(pde, r, s, Q, prior):
     """The convolution term e_Q of the layer recurrence.
 
     e_Q = sum over (i,j) < Q of [(i+r) a_{q1-i,q2-j} + (j+s) b_{q1-i,q2-j}
     + c_{q1-i,q2-j}] D_{i,j}, i.e. every contribution except the diagonal
     (0,0)-coefficient term P(q1+r, q2+s) D_Q.  `prior` must contain every
-    D_{i,j} the sum touches (zeros included).
+    D_{i,j} the sum touches (zeros included).  The sum is the layer kernel
+    of `solve`, fed with just those priors.
     """
     q1, q2 = Q
-    if q1 + q2 < 1:
+    n = q1 + q2
+    if n < 1:
         raise ValueError("recurrence_rhs needs |Q| >= 1")
-    support = set(pde.a.coeffs) | set(pde.b.coeffs) | set(pde.c.coeffs)
-    support.discard((0, 0))
-    e = 0j
-    for m1, m2 in sorted(support, key=index_key):
-        if m1 > q1 or m2 > q2:
-            continue
+    support = [m for m in _support(pde) if m[0] <= q1 and m[1] <= q2]
+    rows = [[] for _ in range(n)]
+    for m1, m2, *_ in support:
         i, j = q1 - m1, q2 - m2
         try:
-            d = prior[(i, j)]
+            rows[i + j].append((i, prior[(i, j)]))
         except KeyError:
             raise MissingPriorCoefficient(f"prior table lacks D_({i},{j}) needed for Q={tuple(Q)}") from None
-        weight = (i + r) * pde.a.get((m1, m2)) + (j + s) * pde.b.get((m1, m2)) + pde.c.get((m1, m2))
-        e += weight * d
-    return e
+    return _layer_rhs(support, r, s, n, rows).get(q1, 0j)
 
 
 def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
@@ -163,6 +192,12 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     refuses when e_Q is substantially nonzero.  The scan result is attached to
     the solution as its resonance certificate either way; an (r0, s0) off
     the conic is refused by the scan with BasePointNotOnConic.
+
+    The layers are swept in order over the lattice points reachable from
+    the support: D_Q is computed only where some nonzero D_P and support
+    monomial m give P + m = Q.  Everywhere else e_Q = 0 exactly, so D_Q = 0
+    (at a hit too).  The first coefficient that overflows to inf or nan is
+    refused with ValueError.
 
     The engine is indifferent to the convergence conditions: it computes
     formal solutions even when no sufficient condition holds.
@@ -182,15 +217,17 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
             certificate.hits,
         )
 
-    table = {(0, 0): 1.0 + 0j}
+    support = _support(pde)
+    rows = [[(0, 1.0 + 0j)]]  # rows[n]: (q1, D_Q) of the nonzero D_Q of layer n, ascending q1
     scale = 1.0
     for n in range(1, N + 1):
-        for q1 in range(n + 1):
+        rhs = _layer_rhs(support, r0, s0, n, rows)
+        row = []
+        for q1 in sorted(rhs):
             Q = (q1, n - q1)
-            e = recurrence_rhs(pde, r0, s0, Q, table)
+            e = rhs[q1]
             if Q in hit_set:
                 if abs(e) <= tol * scale:
-                    table[Q] = 0j
                     continue
                 raise ResonantPoint(
                     f"resonant shift Q={Q} at ({r0}, {s0}) with nonzero "
@@ -198,12 +235,17 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
                     "solution with this exponent pair",
                     certificate.hits,
                 )
-            p = conic.evaluate(r0 + Q[0], s0 + Q[1])
-            d = -e / p
-            table[Q] = d
+            d = -e / conic.evaluate(r0 + Q[0], s0 + Q[1])
+            if d == 0:
+                continue
+            if not (math.isfinite(d.real) and math.isfinite(d.imag)):
+                raise ValueError(f"non-finite coefficient D_({Q[0]},{Q[1]}) (layer {n}): {d!r}")
+            row.append((q1, d))
             if abs(d) > scale:
                 scale = abs(d)
+        rows.append(row)
 
+    table = {(q1, n - q1): d for n, row in enumerate(rows) for q1, d in row}
     report = convergence_report(pde.A, pde.B, pde.C)
     return FrobeniusSolution(r0, s0, N, table, certificate, report)
 

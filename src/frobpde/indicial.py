@@ -183,11 +183,21 @@ def resonance_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
         raise BasePointNotOnConic(
             f"({r0}, {s0}) is not on the conic: |P| = {abs(base):.3e} >= {tol:.3e}"
         )
+    # P(r0+q1, s0+q2) as conic.evaluate sums it, with every product that
+    # depends on q1 alone or on q2 alone computed once per row or column
+    cA, cB, cC, cD, cE, cF = conic.coefficients()
+    rs = [r0 + k for k in range(N + 1)]
+    ss = [s0 + k for k in range(N + 1)]
+    Ar = [cA * r * r for r in rs]
+    Br = [cB * r for r in rs]
+    Dr = [cD * r for r in rs]
+    Cs = [cC * s * s for s in ss]
+    Es = [cE * s for s in ss]
     hits = []  # canonical order: ascending norm, then q1
     for n in range(1, N + 1):
         for q1 in range(n + 1):
             q2 = n - q1
-            mag = abs(conic.evaluate(r0 + q1, s0 + q2))
+            mag = abs(Ar[q1] + Br[q1] * ss[q2] + Cs[q2] + Dr[q1] + Es[q2] + cF)
             if mag < tol:
                 hits.append(((q1, q2), mag))
     nonres = N if not hits else sum(hits[0][0]) - 1

@@ -224,7 +224,7 @@ def sqrt_series(f):
             continue
         q1, q2 = Q
         acc = 0j
-        for (p1, p2), gv in list(out.items()):
+        for (p1, p2), gv in out.items():
             if (p1, p2) == (0, 0):
                 continue
             if p1 <= q1 and p2 <= q2 and (p1, p2) != (q1, q2):

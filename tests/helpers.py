@@ -1,6 +1,9 @@
 """Series helpers shared by the tests."""
 
-from frobpde.multiseries import CSeries2, norm
+from frobpde.errors import BasePointNotOnConic, ResonantPoint
+from frobpde.frobenius import FrobeniusSolution, convergence_report
+from frobpde.indicial import DEFAULT_TOL, ResonanceReport, indicial_of
+from frobpde.multiseries import CSeries2, index_key, norm
 
 
 def max_abs_diff(f, g):
@@ -18,3 +21,88 @@ def diff_x(f):
         if q1 >= 1:
             out[(q1 - 1, q2)] = v * q1
     return CSeries2(f.order, out)
+
+
+# -- references for the layer sweep ------------------------------------------
+# The engine and the resonance scan as they were before the layer sweep:
+# every Q of every layer, e_Q gathered over the whole sorted support from a
+# prior table that holds zeros too, and P evaluated with conic.evaluate at
+# every point.  solve and resonance_scan must reproduce them bit for bit.
+
+
+def reference_rhs(pde, r, s, Q, prior):
+    """e_Q summed over the support in canonical order; every D_P it touches
+    must be in `prior`."""
+    q1, q2 = Q
+    support = set(pde.a.coeffs) | set(pde.b.coeffs) | set(pde.c.coeffs)
+    support.discard((0, 0))
+    e = 0j
+    for m1, m2 in sorted(support, key=index_key):
+        if m1 > q1 or m2 > q2:
+            continue
+        i, j = q1 - m1, q2 - m2
+        weight = (i + r) * pde.a.get((m1, m2)) + (j + s) * pde.b.get((m1, m2)) + pde.c.get((m1, m2))
+        e += weight * prior[(i, j)]
+    return e
+
+
+def reference_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
+    """Resonance scan that calls conic.evaluate at every shift."""
+    r0 = complex(r0)
+    s0 = complex(s0)
+    base = conic.evaluate(r0, s0)
+    if abs(base) >= tol:
+        raise BasePointNotOnConic(
+            f"({r0}, {s0}) is not on the conic: |P| = {abs(base):.3e} >= {tol:.3e}"
+        )
+    hits = []
+    for n in range(1, N + 1):
+        for q1 in range(n + 1):
+            q2 = n - q1
+            mag = abs(conic.evaluate(r0 + q1, s0 + q2))
+            if mag < tol:
+                hits.append(((q1, q2), mag))
+    nonres = N if not hits else sum(hits[0][0]) - 1
+    return ResonanceReport(r0, s0, N, tuple(hits), nonres)
+
+
+def reference_solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
+    """The per-Q recurrence over every lattice point, with the full prior
+    table (zeros included)."""
+    r0 = complex(r0)
+    s0 = complex(s0)
+    conic = indicial_of(pde)
+    certificate = reference_scan(conic, r0, s0, N, tol)
+    hit_set = set(certificate.hit_indices())
+    if hit_set and resonance_policy == "strict":
+        raise ResonantPoint(
+            f"resonant point ({r0}, {s0}): P vanishes at shifts {sorted(hit_set)}",
+            certificate.hits,
+        )
+    table = {(0, 0): 1.0 + 0j}
+    scale = 1.0
+    for n in range(1, N + 1):
+        for q1 in range(n + 1):
+            Q = (q1, n - q1)
+            e = reference_rhs(pde, r0, s0, Q, table)
+            if Q in hit_set:
+                if abs(e) <= tol * scale:
+                    table[Q] = 0j
+                    continue
+                raise ResonantPoint(
+                    f"resonant shift Q={Q} at ({r0}, {s0}) with nonzero "
+                    f"convolution term |e_Q| = {abs(e):.3e}: no Frobenius "
+                    "solution with this exponent pair",
+                    certificate.hits,
+                )
+            d = -e / conic.evaluate(r0 + Q[0], s0 + Q[1])
+            table[Q] = d
+            if abs(d) > scale:
+                scale = abs(d)
+    report = convergence_report(pde.A, pde.B, pde.C)
+    return FrobeniusSolution(r0, s0, N, table, certificate, report)
+
+
+def bits(series):
+    """Keys in stored order with the exact bits of each coefficient."""
+    return [(Q, v.real.hex(), v.imag.hex()) for Q, v in series.coeffs.items()]

@@ -92,11 +92,11 @@ class TestExitCodes:
         assert main(["solve"]) == 1
 
     def test_nonfinite_coefficients_refused(self, tmp_path, capsys):
-        # D_(1,0) = -1e300 and D_(2,0) overflows to inf
+        # D_(1,0) = -1e300 and D_(2,0) overflows to inf: the sweep stops there
         assert main(["solve", write(tmp_path, dict(BESSEL, c="1e300*x", order=6))]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: non-finite coefficient")
+        assert captured.err == "error: non-finite coefficient D_(2,0) (layer 2): (inf+nanj)\n"
 
 
 class TestSolveOutput:
