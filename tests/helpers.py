@@ -1,9 +1,27 @@
-"""Series helpers shared by the tests."""
+"""Helpers shared by the tests: series helpers, the catalog models and the
+per-point references for the engine and the resonance scan."""
 
 from frobpde.errors import BasePointNotOnConic, ResonantPoint
 from frobpde.frobenius import FrobeniusSolution, convergence_report
 from frobpde.indicial import DEFAULT_TOL, ResonanceReport, indicial_of
 from frobpde.multiseries import CSeries2, index_key, norm
+
+#: every catalog model, with the parameters the tests solve it at
+CATALOG_MODELS = [
+    ("bessel_I", {"nu": 0}),
+    ("bessel_II", {"nu": 0}),
+    ("airy_I", {}),
+    ("airy_II", {}),
+    ("hermite_I", {"lam": 1.3}),
+    ("hermite_II", {"lam": 1.3}),
+    ("legendre_I", {"lam": 0.7}),
+    ("legendre_II", {"lam": 0.7}),
+    ("chebyshev_I", {"p": 0.7}),
+    ("chebyshev_II", {"p": 0.7}),
+    ("laguerre_I", {"lam": 1.3}),
+    ("laguerre_II", {"lam": 1.3}),
+    ("disturbed_heat", {"a": 1}),
+]
 
 
 def max_abs_diff(f, g):

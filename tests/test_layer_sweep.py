@@ -11,23 +11,7 @@ from frobpde.errors import ResonantPoint
 from frobpde.frobenius import RegularSingularPDE, recurrence_rhs, solve
 from frobpde.indicial import IndicialConic, indicial_of, resonance_scan
 from frobpde.multiseries import CSeries2
-from helpers import bits, reference_rhs, reference_scan, reference_solve
-
-MODELS = [
-    ("bessel_I", {"nu": 0}),
-    ("bessel_II", {"nu": 0}),
-    ("airy_I", {}),
-    ("airy_II", {}),
-    ("hermite_I", {"lam": 1.3}),
-    ("hermite_II", {"lam": 1.3}),
-    ("legendre_I", {"lam": 0.7}),
-    ("legendre_II", {"lam": 0.7}),
-    ("chebyshev_I", {"p": 0.7}),
-    ("chebyshev_II", {"p": 0.7}),
-    ("laguerre_I", {"lam": 1.3}),
-    ("laguerre_II", {"lam": 1.3}),
-    ("disturbed_heat", {"a": 1}),
-]
+from helpers import CATALOG_MODELS, bits, reference_rhs, reference_scan, reference_solve
 
 
 def scan_bits(report):
@@ -54,7 +38,7 @@ def assert_same(pde, r0, s0, N, policy):
 
 
 @pytest.mark.parametrize("N", [20, 40])
-@pytest.mark.parametrize("name, params", MODELS)
+@pytest.mark.parametrize("name, params", CATALOG_MODELS)
 def test_catalog_models(name, params, N):
     ent = catalog.entry(name, **params)
     pde = catalog.make_pde(ent, N)
@@ -65,7 +49,9 @@ def test_catalog_models(name, params, N):
     assert scan_bits(resonance_scan(conic, r0, s0, N)) == scan_bits(reference_scan(conic, r0, s0, N))
 
 
-@pytest.mark.parametrize("name, params", [MODELS[0], MODELS[7], MODELS[12]])
+@pytest.mark.parametrize(
+    "name, params", [m for m in CATALOG_MODELS if m[0] in ("bessel_I", "legendre_II", "disturbed_heat")]
+)
 def test_recurrence_rhs_matches_reference(name, params):
     # a full prior table, zeros included, as recurrence_rhs documents
     N = 14

@@ -7,6 +7,7 @@ from frobpde.errors import OutsideEstimatedDomain
 from frobpde.expr_parser import parse_expr, to_series
 from frobpde.frobenius import FrobeniusSolution, RegularSingularPDE, solve
 from frobpde.verify import apply_operator, eval_solution, residual_max
+from helpers import CATALOG_MODELS
 
 
 def make_pde(A, B, C, a, b, c, order=12):
@@ -56,24 +57,7 @@ class TestResidualMax:
         assert data["checked_up_to"] == 12
         assert "max_residual" in data
 
-    @pytest.mark.parametrize(
-        "name, params",
-        [
-            ("bessel_I", {"nu": 0}),
-            ("bessel_II", {"nu": 0}),
-            ("airy_I", {}),
-            ("airy_II", {}),
-            ("hermite_I", {"lam": 1.3}),
-            ("hermite_II", {"lam": 1.3}),
-            ("legendre_I", {"lam": 0.7}),
-            ("legendre_II", {"lam": 0.7}),
-            ("chebyshev_I", {"p": 0.7}),
-            ("chebyshev_II", {"p": 0.7}),
-            ("laguerre_I", {"lam": 1.3}),
-            ("laguerre_II", {"lam": 1.3}),
-            ("disturbed_heat", {"a": 1}),
-        ],
-    )
+    @pytest.mark.parametrize("name, params", CATALOG_MODELS)
     def test_corrupted_coefficient_flagged(self, name, params):
         # a 1e-3 error in one middle-layer coefficient, stored or not, must
         # show in the residual of every model, rational coefficients included
