@@ -22,13 +22,9 @@ from .errors import (
 )
 from .multiseries import (
     CSeries2,
-    antiderivative_x,
     cauchy_mul,
-    divide_by_x,
     exp_series,
     index_key,
-    indices_up_to,
-    layer,
     norm,
     reciprocal,
     sqrt_series,

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 from .errors import MissingPriorCoefficient, ResonantPoint, ZeroConstantTerm
 from .indicial import DEFAULT_TOL, indicial_of, resonance_scan
-from .multiseries import (
-    CSeries2,
-    antiderivative_x,
-    divide_by_x,
-    exp_series,
-    index_key,
-    reciprocal,
-    sqrt_series,
-)
+from .multiseries import CSeries2, _power, index_key, layer_rhs, layer_sweep
 
 
 @dataclass(frozen=True)
@@ -137,27 +129,6 @@ def _support(pde):
     ]
 
 
-def _layer_rhs(support, r, s, n, rows):
-    """The convolution terms e_Q of layer n, as {q1: e_Q} over the Q that
-    some prior in `rows` reaches.
-
-    rows[k] lists the (q1, D_Q) of layer k < n.  Each pair (P, m) with
-    |P| + |m| = n adds [(p1+r) a_m + (p2+s) b_m + c_m] D_P to e_{P+m}, and
-    the monomials come in canonical order, so every e_Q sums its terms in
-    canonical monomial order, starting from +0j.  A Q no prior reaches
-    has e_Q = 0.
-    """
-    acc = {}
-    for m1, m2, am, bm, cm in support:
-        k = n - m1 - m2
-        if k < 0:
-            break
-        for i, d in rows[k]:
-            q = i + m1
-            acc[q] = acc.get(q, 0j) + ((i + r) * am + (k - i + s) * bm + cm) * d
-    return acc
-
-
 def recurrence_rhs(pde, r, s, Q, prior):
     """The convolution term e_Q of the layer recurrence.
 
@@ -179,7 +150,7 @@ def recurrence_rhs(pde, r, s, Q, prior):
             rows[i + j].append((i, prior[(i, j)]))
         except KeyError:
             raise MissingPriorCoefficient(f"prior table lacks D_({i},{j}) needed for Q={tuple(Q)}") from None
-    return _layer_rhs(support, r, s, n, rows).get(q1, 0j)
+    return layer_rhs(support, r, s, n, rows).get(q1, 0j)
 
 
 def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
@@ -217,35 +188,25 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
             certificate.hits,
         )
 
-    support = _support(pde)
-    rows = [[(0, 1.0 + 0j)]]  # rows[n]: (q1, D_Q) of the nonzero D_Q of layer n, ascending q1
     scale = 1.0
-    for n in range(1, N + 1):
-        rhs = _layer_rhs(support, r0, s0, n, rows)
-        row = []
-        for q1 in sorted(rhs):
-            Q = (q1, n - q1)
-            e = rhs[q1]
-            if Q in hit_set:
-                if abs(e) <= tol * scale:
-                    continue
-                raise ResonantPoint(
-                    f"resonant shift Q={Q} at ({r0}, {s0}) with nonzero "
-                    f"convolution term |e_Q| = {abs(e):.3e}: no Frobenius "
-                    "solution with this exponent pair",
-                    certificate.hits,
-                )
-            d = -e / conic.evaluate(r0 + Q[0], s0 + Q[1])
-            if d == 0:
-                continue
-            if not (math.isfinite(d.real) and math.isfinite(d.imag)):
-                raise ValueError(f"non-finite coefficient D_({Q[0]},{Q[1]}) (layer {n}): {d!r}")
-            row.append((q1, d))
-            if abs(d) > scale:
-                scale = abs(d)
-        rows.append(row)
 
-    table = {(q1, n - q1): d for n, row in enumerate(rows) for q1, d in row}
+    def divide(q1, q2, e):
+        nonlocal scale
+        if (q1, q2) in hit_set:
+            if abs(e) <= tol * scale:
+                return 0
+            raise ResonantPoint(
+                f"resonant shift Q={(q1, q2)} at ({r0}, {s0}) with nonzero "
+                f"convolution term |e_Q| = {abs(e):.3e}: no Frobenius "
+                "solution with this exponent pair",
+                certificate.hits,
+            )
+        d = -e / conic.evaluate(r0 + q1, s0 + q2)
+        if abs(d) > scale:
+            scale = abs(d)
+        return d
+
+    table = layer_sweep(_support(pde), r0, s0, N, 1.0 + 0j, divide)
     report = convergence_report(pde.A, pde.B, pde.C)
     return FrobeniusSolution(r0, s0, N, table, certificate, report)
 
@@ -374,9 +335,8 @@ def prepare_coordinates(A_of_x, C_of_y):
     Given unit series A(x) and C(y), returns (f, g) with f(0) = g(0) = 1 such
     that the substitution xi = x f(x), eta = y g(y) replaces A(x), C(y) by
     their values at the origin:  A(x) x^2 (f + x f')^2 = A(0) (x f)^2 up to
-    truncation, and the same for g.  Realized as f = exp(int (w(x)-1)/x dx)
-    with w = sqrt(A(0)/A(x)), where w - 1 has zero constant term so the
-    division by x is an exact exponent shift.
+    truncation, and the same for g.  That is x f' = (w - 1) f with
+    w = (A/A(0))^(-1/2).
     """
     f = _prepare_one(A_of_x, axis="x")
     g = _prepare_one(C_of_y.transpose(), axis="y").transpose()
@@ -384,18 +344,13 @@ def prepare_coordinates(A_of_x, C_of_y):
 
 
 def _prepare_one(series, axis):
+    """w = (A/a0)^(-1/2) from w(0) = 1 exactly, then the layer sweep of
+    x f' = (w - 1) f from f(0) = 1."""
     for (q1, q2) in series.coeffs:
         if q2 != 0:
             raise ValueError(f"coefficient series for {axis} must be univariate")
-    a0 = series.constant_term()
-    if a0 == 0:
+    if series.constant_term() == 0:
         raise ZeroConstantTerm("leading coefficient vanishes at the origin")
-    ratio = reciprocal(series).scale(a0)  # A(0)/A(x)
-    # pin the constant term to exactly 1 (a0 * (1/a0) can be off by one ulp),
-    # so that w - 1 divides by x exactly
-    fixed = dict(ratio.coeffs)
-    fixed[(0, 0)] = 1.0
-    ratio = CSeries2(ratio.order, fixed)
-    w = sqrt_series(ratio)
-    shifted = divide_by_x(w - CSeries2.one(series.order))
-    return exp_series(antiderivative_x(shifted))
+    w = _power(series, -0.5, 1.0)
+    support = [(m1, 0, 0, 0, -v) for (m1, _), v in w.items() if m1]
+    return CSeries2(series.order, layer_sweep(support, 0, 0, series.order, 1.0, lambda q1, q2, e: -e / q1))

@@ -21,16 +21,6 @@ def index_key(Q):
     return (Q[0] + Q[1], Q[0])
 
 
-def layer(n):
-    """All multi-indices of norm n in canonical order."""
-    return [(q1, n - q1) for q1 in range(n + 1)]
-
-
-def indices_up_to(N):
-    for n in range(N + 1):
-        yield from layer(n)
-
-
 def _check_finite(z):
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"non-finite coefficient {z!r}")
@@ -189,27 +179,81 @@ def cauchy_mul(f, g):
     return CSeries2(order, out)
 
 
+# -- the layer sweep ---------------------------------------------------------
+# Every recurrence of the package is one Euler-type equation solved at the
+# origin: coefficient Q reads P(Q) D_Q + e_Q = 0, where e_Q convolves the
+# support monomials m != (0, 0) with the layers below |Q|.
+
+
+def layer_rhs(support, r, s, n, rows):
+    """The convolution terms e_Q of layer n, as {q1: e_Q} over the Q that
+    some prior in `rows` reaches.
+
+    support lists (m1, m2, a_m, b_m, c_m) for the monomials m != (0, 0) in
+    canonical order; rows[k] lists the (q1, D_Q) of layer k < n.  Each pair
+    (P, m) with |P| + |m| = n adds [(p1+r) a_m + (p2+s) b_m + c_m] D_P to
+    e_{P+m}, so every e_Q sums its terms in canonical monomial order,
+    starting from +0j.  A Q no prior reaches has e_Q = 0.
+    """
+    acc = {}
+    for m1, m2, am, bm, cm in support:
+        k = n - m1 - m2
+        if k < 0:
+            break
+        for i, d in rows[k]:
+            q = i + m1
+            acc[q] = acc.get(q, 0j) + ((i + r) * am + (k - i + s) * bm + cm) * d
+    return acc
+
+
+def layer_sweep(support, r, s, order, d0, divide):
+    """Coefficient table {(q1, q2): D_Q} up to |Q| = order, in canonical
+    order, with D_(0,0) = d0 and D_Q = divide(q1, q2, e_Q) on every later
+    layer (e_Q from `layer_rhs`).
+
+    `divide` is called only at the Q that some nonzero prior reaches, in
+    ascending q1 within each layer; everywhere else e_Q = 0, so D_Q = 0.
+    Zero coefficients are not stored, and the first one that overflows to
+    inf or nan is refused with ValueError.
+    """
+    rows = [[(0, d0)]]  # rows[n]: (q1, D_Q) of the nonzero D_Q of layer n, ascending q1
+    for n in range(1, order + 1):
+        rhs = layer_rhs(support, r, s, n, rows)
+        row = []
+        for q1 in sorted(rhs):
+            d = divide(q1, n - q1, rhs[q1])
+            if d == 0:
+                continue
+            if not (math.isfinite(d.real) and math.isfinite(d.imag)):
+                raise ValueError(f"non-finite coefficient D_({q1},{n - q1}) (layer {n}): {d!r}")
+            row.append((q1, d))
+        rows.append(row)
+    return {(q1, n - q1): d for n, row in enumerate(rows) for q1, d in row}
+
+
+# -- series operations as Euler-type solves ----------------------------------
+# With theta = x d/dx + y d/dy, g = f^alpha solves f theta(g) = alpha
+# theta(f) g and g = exp(f) solves theta(g) = theta(f) g.  Both are
+# first-order equations whose indicial conic is a multiple of r + s, which
+# vanishes at no shift Q != 0, so the layer sweep at r = s = 0 computes g.
+
+
+def _power(f, alpha, g0):
+    """g0 (f/f0)^alpha.  Coefficient Q of f theta(g) = alpha theta(f) g
+    reads f0 |Q| g_Q + sum_{m != 0} (|Q-m| - alpha |m|) f_m g_{Q-m} = 0:
+    J. C. P. Miller's formula for the powers of a series."""
+    f0 = f.constant_term()
+    support = [(m1, m2, v, v, -alpha * (m1 + m2) * v) for (m1, m2), v in f.items() if m1 + m2]
+    table = layer_sweep(support, 0, 0, f.order, g0, lambda q1, q2, e: -e / (f0 * (q1 + q2)))
+    return CSeries2(f.order, table)
+
+
 def reciprocal(f):
     """Multiplicative inverse of a unit series, to the same order."""
     f0 = f.constant_term()
     if f0 == 0:
         raise ZeroConstantTerm("reciprocal of a series with zero constant term")
-    inv0 = 1.0 / f0
-    out = {(0, 0): inv0}
-    higher = {Q: v for Q, v in f.coeffs.items() if Q != (0, 0)}
-    for Q in indices_up_to(f.order):
-        if Q == (0, 0):
-            continue
-        q1, q2 = Q
-        acc = 0j
-        for (p1, p2), fv in higher.items():
-            if p1 <= q1 and p2 <= q2:
-                prev = out.get((q1 - p1, q2 - p2))
-                if prev is not None:
-                    acc += fv * prev
-        if acc != 0:
-            out[Q] = -inv0 * acc
-    return CSeries2(f.order, out)
+    return _power(f, -1, 1.0 / f0)
 
 
 def sqrt_series(f):
@@ -217,54 +261,12 @@ def sqrt_series(f):
     f0 = f.constant_term()
     if f0 == 0:
         raise ZeroConstantTerm("sqrt of a series with zero constant term")
-    g0 = cmath.sqrt(f0)
-    out = {(0, 0): g0}
-    for Q in indices_up_to(f.order):
-        if Q == (0, 0):
-            continue
-        q1, q2 = Q
-        acc = 0j
-        for (p1, p2), gv in out.items():
-            if (p1, p2) == (0, 0):
-                continue
-            if p1 <= q1 and p2 <= q2 and (p1, p2) != (q1, q2):
-                partner = out.get((q1 - p1, q2 - p2))
-                if partner is not None and (q1 - p1, q2 - p2) != (0, 0):
-                    acc += gv * partner
-        gq = (f.get(Q) - acc) / (2.0 * g0)
-        if gq != 0:
-            out[Q] = gq
-    return CSeries2(f.order, out)
+    return _power(f, 0.5, cmath.sqrt(f0))
 
 
 def exp_series(f):
-    """exp of a series, to the same order."""
-    f0 = f.constant_term()
-    g = f - CSeries2.constant(f0, f.order)  # zero constant term
-    result = CSeries2.one(f.order)
-    term = CSeries2.one(f.order)
-    for k in range(1, f.order + 1):
-        term = cauchy_mul(term, g).scale(1.0 / k)
-        if not term.coeffs:
-            break
-        result = result + term
-    if f0 != 0:
-        result = result.scale(cmath.exp(f0))
-    return result
-
-
-def antiderivative_x(f):
-    """Term-wise antiderivative in x with zero constant of integration."""
-    out = {}
-    for (q1, q2), v in f.coeffs.items():
-        if q1 + 1 + q2 <= f.order:
-            out[(q1 + 1, q2)] = v / (q1 + 1)
-    return CSeries2(f.order, out)
-
-
-def divide_by_x(f):
-    """Exact shift x^{q1} -> x^{q1-1}; requires every term to contain x."""
-    for (q1, q2) in f.coeffs:
-        if q1 == 0:
-            raise ValueError("series has a term without a factor of x")
-    return CSeries2(f.order, {(q1 - 1, q2): v for (q1, q2), v in f.coeffs.items()})
+    """exp of a series, to the same order.  Coefficient Q of
+    theta(g) = theta(f) g reads |Q| g_Q = sum_{m != 0} |m| f_m g_{Q-m}."""
+    support = [(m1, m2, 0, 0, -(m1 + m2) * v) for (m1, m2), v in f.items() if m1 + m2]
+    table = layer_sweep(support, 0, 0, f.order, cmath.exp(f.constant_term()), lambda q1, q2, e: -e / (q1 + q2))
+    return CSeries2(f.order, table)

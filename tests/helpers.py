@@ -1,10 +1,14 @@
-"""Helpers shared by the tests: series helpers, the catalog models and the
-per-point references for the engine and the resonance scan."""
+"""Helpers shared by the tests: series helpers, the catalog models, the
+per-point references for the engine and the resonance scan, and exact
+references for the series operations."""
+
+import math
+from fractions import Fraction
 
 from frobpde.errors import BasePointNotOnConic, ResonantPoint
 from frobpde.frobenius import FrobeniusSolution, convergence_report
 from frobpde.indicial import DEFAULT_TOL, ResonanceReport, indicial_of
-from frobpde.multiseries import CSeries2, index_key, norm
+from frobpde.multiseries import index_key, norm
 
 #: every catalog model, with the parameters the tests solve it at
 CATALOG_MODELS = [
@@ -30,15 +34,6 @@ def max_abs_diff(f, g):
     keys = {Q for Q in f.coeffs if norm(Q) <= order}
     keys |= {Q for Q in g.coeffs if norm(Q) <= order}
     return max((abs(f.get(Q) - g.get(Q)) for Q in keys), default=0.0)
-
-
-def diff_x(f):
-    """Term-wise d/dx."""
-    out = {}
-    for (q1, q2), v in f.coeffs.items():
-        if q1 >= 1:
-            out[(q1 - 1, q2)] = v * q1
-    return CSeries2(f.order, out)
 
 
 # -- references for the layer sweep ------------------------------------------
@@ -124,3 +119,87 @@ def reference_solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
 def bits(series):
     """Keys in stored order with the exact bits of each coefficient."""
     return [(Q, v.real.hex(), v.imag.hex()) for Q, v in series.coeffs.items()]
+
+
+# -- exact references for the series operations -------------------------------
+# The series operations as they were before they ran on the layer sweep, in
+# exact rational arithmetic and independent of Miller's formula: a triangular
+# solve for the reciprocal, the self-convolution for the square root and
+# sum f^k / k! for exp.  Series are {(q1, q2): Fraction} tables up to `order`.
+
+
+def exact_mul(f, g, order):
+    out = {}
+    for (p1, p2), u in f.items():
+        for (m1, m2), v in g.items():
+            if p1 + p2 + m1 + m2 <= order:
+                Q = (p1 + m1, p2 + m2)
+                out[Q] = out.get(Q, 0) + u * v
+    return out
+
+
+def _later_indices(order):
+    return [(q1, n - q1) for n in range(1, order + 1) for q1 in range(n + 1)]
+
+
+def exact_reciprocal(f, order):
+    """Triangular solve of f g = 1."""
+    f0 = f[(0, 0)]
+    g = {(0, 0): 1 / f0}
+    for q1, q2 in _later_indices(order):
+        acc = sum(
+            (v * g[(q1 - m1, q2 - m2)] for (m1, m2), v in f.items()
+             if (m1, m2) != (0, 0) and m1 <= q1 and m2 <= q2),
+            Fraction(0),
+        )
+        g[(q1, q2)] = -acc / f0
+    return g
+
+
+def exact_sqrt(f, order):
+    """Self-convolution solve of g g = f for f(0) = 1."""
+    assert f[(0, 0)] == 1
+    g = {(0, 0): Fraction(1)}
+    for q1, q2 in _later_indices(order):
+        acc = sum(
+            (g[(p1, p2)] * g[(q1 - p1, q2 - p2)] for p1 in range(q1 + 1) for p2 in range(q2 + 1)
+             if (p1, p2) not in ((0, 0), (q1, q2))),
+            Fraction(0),
+        )
+        g[(q1, q2)] = (f.get((q1, q2), 0) - acc) / 2
+    return g
+
+
+def exact_exp(f, order):
+    """sum_k f^k / k! for f(0) = 0."""
+    assert f.get((0, 0), 0) == 0
+    term = {(0, 0): Fraction(1)}
+    g = dict(term)
+    for k in range(1, order + 1):
+        term = {Q: v / k for Q, v in exact_mul(term, f, order).items()}
+        for Q, v in term.items():
+            g[Q] = g.get(Q, 0) + v
+    return g
+
+
+def exact_prepare(A, order):
+    """f = exp(int (w - 1)/x dx) with w = sqrt(A(0)/A(x)), for a univariate
+    table A in x."""
+    a0 = A[(0, 0)]
+    w = exact_sqrt({Q: a0 * v for Q, v in exact_reciprocal(A, order).items()}, order)
+    h = {(q1 + 1, 0): w.get((q1 + 1, 0), 0) / (q1 + 1) for q1 in range(order)}
+    return exact_exp(h, order)
+
+
+def layer_relative_error(series, exact):
+    """max over the layers n of max_Q |D_Q - exact_Q| / max_Q |exact_Q|, Q on
+    layer n.  A layer whose exact coefficients all vanish is measured
+    against the largest exact coefficient."""
+    top = max(abs(v) for v in exact.values())
+    worst = 0.0
+    for n in range(series.order + 1):
+        layer = [(q1, n - q1) for q1 in range(n + 1)]
+        scale = max(abs(exact.get(Q, 0)) for Q in layer) or top
+        err = max(math.hypot(Fraction(series.get(Q).real) - exact.get(Q, 0), series.get(Q).imag) for Q in layer)
+        worst = max(worst, err / float(scale))
+    return worst

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,18 +8,22 @@ from hypothesis import strategies as st
 from frobpde.errors import ZeroConstantTerm
 from frobpde.multiseries import (
     CSeries2,
-    antiderivative_x,
     cauchy_mul,
-    divide_by_x,
     exp_series,
     index_key,
-    indices_up_to,
-    layer,
     norm,
     reciprocal,
     sqrt_series,
 )
-from helpers import diff_x, max_abs_diff
+from frobpde.frobenius import prepare_coordinates
+from helpers import (
+    exact_exp,
+    exact_prepare,
+    exact_reciprocal,
+    exact_sqrt,
+    layer_relative_error,
+    max_abs_diff,
+)
 
 
 def series(order, table):
@@ -41,18 +46,21 @@ def small_series(draw, order=5, unit=False):
     return CSeries2(order, table)
 
 
+@st.composite
+def dyadic_series(draw, constant, monomials=((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (3, 0))):
+    """(CSeries2, exact table) of a series with dyadic coefficients, order 6-12."""
+    order = draw(st.integers(6, 12))
+    table = {(0, 0): Fraction(constant)}
+    for Q in monomials:
+        if draw(st.booleans()):
+            table[Q] = Fraction(draw(st.integers(-16, 16)), 8)
+    return CSeries2(order, {Q: float(v) for Q, v in table.items()}), table
+
+
 class TestIndices:
     def test_norm_and_key(self):
         assert norm((3, 4)) == 7
         assert index_key((2, 1)) == (3, 2)
-
-    def test_layer_canonical(self):
-        assert layer(2) == [(0, 2), (1, 1), (2, 0)]
-
-    def test_indices_up_to(self):
-        seq = list(indices_up_to(2))
-        assert seq == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-        assert seq == sorted(seq, key=index_key)
 
 
 class TestCSeries2:
@@ -183,18 +191,40 @@ class TestAnalyticTransforms:
         scale = 1 + max((abs(v) for v in rhs.coeffs.values()), default=0.0)
         assert max_abs_diff(lhs, rhs) < 1e-7 * scale
 
-    def test_antiderivative_then_diff(self):
-        f = series(5, {(0, 0): 1.0, (2, 1): 3.0, (1, 0): -2.0})
-        assert diff_x(antiderivative_x(f)) == series(
-            5, {(0, 0): 1.0, (2, 1): 3.0, (1, 0): -2.0}
-        )
 
+class TestExactReferences:
+    """Series operations against exact rational references that do not use
+    Miller's formula, layer-relative error at most 1e-14."""
 
-class TestDivideByX:
-    def test_exact_shift(self):
-        f = series(4, {(1, 0): 2.0, (3, 1): -1.0})
-        assert divide_by_x(f) == series(4, {(0, 0): 2.0, (2, 1): -1.0})
+    GATE = 1e-14
 
-    def test_requires_x_factor(self):
-        with pytest.raises(ValueError):
-            divide_by_x(series(3, {(0, 1): 1.0}))
+    @given(dyadic_series(1))
+    @settings(max_examples=60, deadline=None)
+    def test_reciprocal(self, drawn):
+        f, exact = drawn
+        assert layer_relative_error(reciprocal(f), exact_reciprocal(exact, f.order)) <= self.GATE
+
+    @given(dyadic_series(1))
+    @settings(max_examples=60, deadline=None)
+    def test_sqrt(self, drawn):
+        f, exact = drawn
+        assert layer_relative_error(sqrt_series(f), exact_sqrt(exact, f.order)) <= self.GATE
+
+    @given(dyadic_series(0))
+    @settings(max_examples=60, deadline=None)
+    def test_exp(self, drawn):
+        f, exact = drawn
+        assert layer_relative_error(exp_series(f), exact_exp(exact, f.order)) <= self.GATE
+
+    @given(
+        st.sampled_from([-2, -1, -0.5, -0.25, 0.25, 0.5, 1, 3]),
+        dyadic_series(1, monomials=((1, 0), (2, 0), (3, 0))),
+        dyadic_series(1, monomials=((1, 0), (2, 0))),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prepare_coordinates(self, a0, drawn_a, drawn_c):
+        (A, exact_a), (C, exact_c) = drawn_a, drawn_c
+        A, C = A.scale(a0), C.truncate(A.order).transpose()
+        f, g = prepare_coordinates(A, C)
+        assert layer_relative_error(f, exact_prepare({Q: Fraction(a0) * v for Q, v in exact_a.items()}, A.order)) <= self.GATE
+        assert layer_relative_error(g.transpose(), exact_prepare(exact_c, A.order)) <= self.GATE
