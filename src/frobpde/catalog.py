@@ -202,15 +202,11 @@ def make_pde(ent, order):
     return RegularSingularPDE(consts[0], consts[1], consts[2], *series)
 
 
-def solve_entry(ent, r0=None, s0=None, N=20, tol=None):
+def solve_entry(ent, r0=None, s0=None, N=20):
     """Engine solve with the entry's documented point and resonance policy."""
     if r0 is None or s0 is None:
         r0, s0 = default_point(ent)
-    pde = make_pde(ent, N)
-    kwargs = {"resonance_policy": resonance_policy(ent)}
-    if tol is not None:
-        kwargs["tol"] = tol
-    return frobenius.solve(pde, r0, s0, N, **kwargs)
+    return frobenius.solve(make_pde(ent, N), r0, s0, N, resonance_policy=resonance_policy(ent))
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,33 @@ def integral_points(family, A=None, B=None, C=None):
 # ---------------------------------------------------------------------------
 
 
+def _exp_factor(rate, y):
+    """(Y, Y', Y'') of Y = exp(rate y)."""
+    e = math.exp(rate * y)
+    return e, rate * e, rate * rate * e
+
+
+def _wave_factor(w, y, cosine):
+    """(Y, Y', Y'') of Y = cos(w y) or sin(w y)."""
+    s, c = math.sin(w * y), math.cos(w * y)
+    return (c, -w * s, -w * w * c) if cosine else (s, w * c, -w * w * s)
+
+
+#: kind -> ((k, a, y) -> (Y, Y', Y'') at y, a -> (c_xx, c_y, c_yy) of the PDE
+#: c_xx z_xx + c_y z_y + c_yy z_yy = 0 that u = sin(kx) Y(y) solves)
+_CLASSICAL = {
+    "heat": (lambda k, a, y: _exp_factor(-((a * k) ** 2), y), lambda a: (a * a, -1.0, 0.0)),
+    "wave_sin_sin": (lambda k, a, y: _wave_factor(a * k, y, False), lambda a: (-a * a, 0.0, 1.0)),
+    "wave_sin_cos": (lambda k, a, y: _wave_factor(a * k, y, True), lambda a: (-a * a, 0.0, 1.0)),
+    "laplace_grow": (lambda k, a, y: _exp_factor(k, y), lambda a: (1.0, 0.0, 1.0)),
+    "laplace_decay": (lambda k, a, y: _exp_factor(-k, y), lambda a: (1.0, 0.0, 1.0)),
+}
+_CLASSICAL_KINDS = tuple(_CLASSICAL)
+
+
 class ClassicalSolution:
-    """Closed-form product solution with hand-coded analytic derivatives.
+    """Closed-form product solution u = sin(kx) Y(y), k = n pi / L, with
+    analytic derivatives.
 
     residual(x, y) substitutes the exact partials into the constant-coefficient
     PDE the family solves (heat: a^2 z_xx = z_y; wave: z_yy = a^2 z_xx;
@@ -209,64 +234,29 @@ class ClassicalSolution:
         self.a = a
         self.k = n * math.pi / L
 
+    def _y(self, y):
+        return _CLASSICAL[self.kind][0](self.k, self.a, y)
+
     def __call__(self, x, y):
-        k, a = self.k, self.a
-        if self.kind == "heat":
-            return math.exp(-(a * k) ** 2 * y) * math.sin(k * x)
-        if self.kind == "wave_sin_sin":
-            return math.sin(k * x) * math.sin(a * k * y)
-        if self.kind == "wave_sin_cos":
-            return math.sin(k * x) * math.cos(a * k * y)
-        if self.kind == "laplace_grow":
-            return math.exp(k * y) * math.sin(k * x)
-        return math.exp(-k * y) * math.sin(k * x)  # laplace_decay
+        return math.sin(self.k * x) * self._y(y)[0]
 
     # analytic partial derivatives ----------------------------------------
 
     def fx(self, x, y):
-        k, a = self.k, self.a
-        if self.kind == "heat":
-            return math.exp(-(a * k) ** 2 * y) * k * math.cos(k * x)
-        if self.kind == "wave_sin_sin":
-            return k * math.cos(k * x) * math.sin(a * k * y)
-        if self.kind == "wave_sin_cos":
-            return k * math.cos(k * x) * math.cos(a * k * y)
-        if self.kind == "laplace_grow":
-            return math.exp(k * y) * k * math.cos(k * x)
-        return math.exp(-k * y) * k * math.cos(k * x)
+        return self.k * math.cos(self.k * x) * self._y(y)[0]
 
     def fxx(self, x, y):
         return -self.k ** 2 * self(x, y)
 
     def fy(self, x, y):
-        k, a = self.k, self.a
-        if self.kind == "heat":
-            return -((a * k) ** 2) * self(x, y)
-        if self.kind == "wave_sin_sin":
-            return math.sin(k * x) * a * k * math.cos(a * k * y)
-        if self.kind == "wave_sin_cos":
-            return -math.sin(k * x) * a * k * math.sin(a * k * y)
-        if self.kind == "laplace_grow":
-            return k * self(x, y)
-        return -k * self(x, y)
+        return math.sin(self.k * x) * self._y(y)[1]
 
     def fyy(self, x, y):
-        k, a = self.k, self.a
-        if self.kind == "heat":
-            return ((a * k) ** 2) ** 2 * self(x, y)
-        if self.kind in ("wave_sin_sin", "wave_sin_cos"):
-            return -((a * k) ** 2) * self(x, y)
-        return k ** 2 * self(x, y)  # both Laplace kinds
+        return math.sin(self.k * x) * self._y(y)[2]
 
     def residual(self, x, y):
-        if self.kind == "heat":
-            return self.a ** 2 * self.fxx(x, y) - self.fy(x, y)
-        if self.kind in ("wave_sin_sin", "wave_sin_cos"):
-            return self.fyy(x, y) - self.a ** 2 * self.fxx(x, y)
-        return self.fxx(x, y) + self.fyy(x, y)
-
-
-_CLASSICAL_KINDS = ("heat", "wave_sin_sin", "wave_sin_cos", "laplace_grow", "laplace_decay")
+        cxx, cy, cyy = _CLASSICAL[self.kind][1](self.a)
+        return cxx * self.fxx(x, y) + cy * self.fy(x, y) + cyy * self.fyy(x, y)
 
 
 def classical_solution(kind, n, L, a=1.0):

@@ -1,5 +1,6 @@
 """Indicial conics: construction, classification, point solving, resonance."""
 
+import cmath
 from dataclasses import dataclass, field
 
 from .errors import BasePointNotOnConic, ComplexCoefficients, NoSolution
@@ -126,8 +127,6 @@ def solve_for_s(conic, r):
     ALL_SOLUTIONS sentinel when the equation degenerates to 0 = 0, and
     raises NoSolution when it degenerates to a nonzero constant.
     """
-    import cmath
-
     r = complex(r)
     quad = conic.cC
     lin = conic.cB * r + conic.cE

@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import OutsideEstimatedDomain
+from .frobenius import radius_estimate
 from .multiseries import CSeries2, cauchy_mul, norm
 
 
@@ -89,8 +90,6 @@ def eval_solution(solution, x, y, check_domain=True):
     if not (x > 0 and y > 0):
         raise ValueError("eval_solution is defined for x > 0 and y > 0 only")
     if check_domain and solution.order >= 10:
-        from .frobenius import radius_estimate
-
         rad = radius_estimate(solution)
         if math.isfinite(rad) and max(x, y) >= rad:
             warnings.warn(
