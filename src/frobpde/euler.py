@@ -215,7 +215,6 @@ _CLASSICAL = {
     "laplace_grow": (lambda k, a, y: _exp_factor(k, y), lambda a: (1.0, 0.0, 1.0)),
     "laplace_decay": (lambda k, a, y: _exp_factor(-k, y), lambda a: (1.0, 0.0, 1.0)),
 }
-_CLASSICAL_KINDS = tuple(_CLASSICAL)
 
 
 class ClassicalSolution:
@@ -261,8 +260,8 @@ class ClassicalSolution:
 
 def classical_solution(kind, n, L, a=1.0):
     """Closed-form boundary family member; vanishes at x = 0 and x = L."""
-    if kind not in _CLASSICAL_KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {_CLASSICAL_KINDS}")
+    if kind not in _CLASSICAL:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {tuple(_CLASSICAL)}")
     if not (n >= 1 and L > 0 and a > 0):
         raise ValueError("need n >= 1, L > 0, a > 0")
     return ClassicalSolution(kind, n, L, a)
