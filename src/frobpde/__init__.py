@@ -12,7 +12,6 @@ from .errors import (
     ExprSyntaxError,
     FrobPDEError,
     MissingParameter,
-    MissingPriorCoefficient,
     NoSolution,
     OutsideEstimatedDomain,
     ResonantPoint,
@@ -59,7 +58,6 @@ from .frobenius import (
     convergence_report,
     prepare_coordinates,
     radius_estimate,
-    recurrence_rhs,
     solve,
 )
 from .catalog import (

@@ -3,8 +3,9 @@ Laguerre types I/II plus the disturbed heat equation, each paired with a
 closed-form coefficient oracle that is independent of the generic engine.
 
 The Legendre and Chebyshev models carry a variable leading factor (1-x^2)
-or (1-xy); the factory divides it out (it is a unit near the origin), so the
-engine always sees constant A, B, C.  The disturbed heat model has removable
+or (1-xy): their a, b, c are fractions over it, and the engine solves the
+PDE times it, with leading coefficients (1-x^2) A, B, C or (1-xy) A, B, C
+(`RegularSingularPDE.cleared`).  The disturbed heat model has removable
 resonances on its diagonal support, so its solver runs with the
 "skip_removable" resonance policy.
 """

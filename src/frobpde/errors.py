@@ -53,10 +53,6 @@ class ResonantPoint(FrobPDEError):
         self.hits = list(hits)
 
 
-class MissingPriorCoefficient(FrobPDEError):
-    """recurrence_rhs was handed an incomplete prior coefficient table."""
-
-
 class MissingParameter(FrobPDEError):
     """A catalog entry was instantiated without a required parameter."""
 

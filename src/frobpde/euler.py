@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConstraintViolated
-from .indicial import DEFAULT_TOL, IndicialConic, indicial_of
+from .indicial import DEFAULT_TOL, indicial_of
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,6 @@ class EulerPDE:
 
     def conic(self):
         return indicial_of(self)
-
-
-@dataclass(frozen=True)
-class MonomialSolution:
-    r: complex
-    s: complex
 
 
 def monomial_check(pde, r, s, tol=DEFAULT_TOL):

@@ -13,8 +13,9 @@ ASTs are plain tuples:
 """
 
 import re
+from functools import reduce
 
-from .errors import DivisionBySeriesWithZeroConstantTerm, ExprSyntaxError, UnboundParameter, ZeroConstantTerm
+from .errors import DivisionBySeriesWithZeroConstantTerm, ExprSyntaxError, UnboundParameter
 from .multiseries import CSeries2, cauchy_mul, reciprocal
 
 _NUM_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
@@ -201,40 +202,59 @@ def pretty(ast):
 
 
 def to_series(ast, params, order):
-    """Evaluate an AST to a CSeries2, binding parameters to complex values."""
+    """Evaluate an AST to a CSeries2, binding parameters to complex values.
+
+    The AST is evaluated as a fraction num/den of truncated polynomials,
+    den(0, 0) = 1, expanded with one reciprocal that keeps (num, den) in its
+    `fraction` slot; without a division the series is num itself.  Common
+    factors are never cancelled, so x/x is refused like 1/x."""
+    num, den = _fraction(ast, params, order)
+    series = num if den is None else cauchy_mul(num, reciprocal(den))
+    object.__setattr__(series, "fraction", None if den is None else (num, den))
+    return series
+
+
+def _times(f, g):
+    """f g, with None standing for 1."""
+    return f if g is None else g if f is None else cauchy_mul(f, g)
+
+
+def _fraction(ast, params, order):
+    """(num, den) of truncated polynomials, den(0, 0) = 1 or den None for 1."""
     kind = ast[0]
     if kind == "num":
-        return CSeries2.constant(ast[1], order)
+        return CSeries2.constant(ast[1], order), None
     if kind == "i":
-        return CSeries2.constant(1j, order)
+        return CSeries2.constant(1j, order), None
     if kind == "var":
-        return CSeries2.variable(ast[1], order)
+        return CSeries2.variable(ast[1], order), None
     if kind == "param":
-        name = ast[1]
-        if name not in params:
-            raise UnboundParameter(f"parameter {name!r} is not bound")
-        return CSeries2.constant(params[name], order)
-    if kind == "add":
-        return to_series(ast[1], params, order) + to_series(ast[2], params, order)
-    if kind == "sub":
-        return to_series(ast[1], params, order) - to_series(ast[2], params, order)
-    if kind == "mul":
-        return cauchy_mul(to_series(ast[1], params, order), to_series(ast[2], params, order))
-    if kind == "div":
-        divisor = to_series(ast[2], params, order)
-        try:
-            inv = reciprocal(divisor)
-        except ZeroConstantTerm as exc:
-            raise DivisionBySeriesWithZeroConstantTerm(
-                "division by a series with zero constant term"
-            ) from exc
-        return cauchy_mul(to_series(ast[1], params, order), inv)
+        if ast[1] not in params:
+            raise UnboundParameter(f"parameter {ast[1]!r} is not bound")
+        return CSeries2.constant(params[ast[1]], order), None
     if kind == "neg":
-        return -to_series(ast[1], params, order)
+        num, den = _fraction(ast[1], params, order)
+        return -num, den
     if kind == "pow":
-        base = to_series(ast[1], params, order)
-        result = CSeries2.one(order)
-        for _ in range(ast[2]):
-            result = cauchy_mul(result, base)
-        return result
-    raise ValueError(f"unknown node kind {kind!r}")
+        num, den = _fraction(ast[1], params, order)
+        num = reduce(cauchy_mul, [num] * ast[2], CSeries2.one(order))
+        return num, None if den is None else reduce(cauchy_mul, [den] * ast[2], CSeries2.one(order))
+    if kind not in ("add", "sub", "mul", "div"):
+        raise ValueError(f"unknown node kind {kind!r}")
+    (n1, d1), (n2, d2) = _fraction(ast[1], params, order), _fraction(ast[2], params, order)
+    if kind == "mul":
+        return cauchy_mul(n1, n2), _times(d1, d2)
+    if kind == "div":
+        c = n2.constant_term()
+        if c == 0:
+            raise DivisionBySeriesWithZeroConstantTerm("division by a series with zero constant term")
+        if d2 is None and len(n2.coeffs) == 1:  # a constant: multiply by its inverse
+            return cauchy_mul(n1, CSeries2.constant(1 / c, order)), d1
+        num, den = _times(n1, d2), _times(d1, n2)
+        if c != 1:  # den(0, 0) = c: divide it out, and pin a complex c/c to 1
+            num = CSeries2(order, {Q: v / c for Q, v in num.coeffs.items()})
+            den = CSeries2(order, {**{Q: v / c for Q, v in den.coeffs.items()}, (0, 0): 1})
+        return num, den
+    if d1 != d2:
+        n1, n2, d1 = _times(n1, d2), _times(n2, d1), _times(d1, d2)
+    return (n1 + n2 if kind == "add" else n1 - n2), d1

@@ -4,16 +4,18 @@ The PDE shape is A x^2 z_xx + B xy z_xy + C y^2 z_yy + x a(x,y) z_x
 + y b(x,y) z_y + c(x,y) z = 0 with constant A, B, C and analytic a, b, c.
 Solutions are sought as x^r0 y^s0 (1 + sum_{|Q|>=1} D_Q x^q1 y^q2) with
 (r0, s0) on the indicial conic; each layer of coefficients is obtained by
-dividing the convolution term e_Q by P(r0+q1, s0+q2).
+dividing the convolution term e_Q by P(r0+q1, s0+q2).  Fractions a, b, c
+are solved on the PDE times their common denominator q, q(0, 0) = 1.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 
-from .errors import MissingPriorCoefficient, ResonantPoint, ZeroConstantTerm
+from .errors import ResonantPoint, ZeroConstantTerm
 from .indicial import DEFAULT_TOL, indicial_of, resonance_scan
-from .multiseries import CSeries2, _power, index_key, layer_rhs, layer_sweep
+from .multiseries import CSeries2, _power, cauchy_mul, index_key, layer_sweep
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,18 @@ class RegularSingularPDE:
 
     def conic(self):
         return indicial_of(self)
+
+    def cleared(self):
+        """(q, q a, q b, q c): q the product of the distinct denominators in
+        the `fraction` slots of a, b, c (1 if none; no common factor is
+        cancelled) and the polynomials that replace a, b, c in q times the PDE."""
+        fractions = [f.fraction or (f, None) for f in (self.a, self.b, self.c)]
+        dens = []
+        for _, den in fractions:
+            if den is not None and den not in dens:
+                dens.append(den)
+        polys = [reduce(cauchy_mul, [d for d in dens if d != den], num) for num, den in fractions]
+        return (reduce(cauchy_mul, dens, CSeries2.one(self.order)), *polys)
 
 
 @dataclass(frozen=True)
@@ -118,41 +132,6 @@ class FrobeniusSolution(CSeries2):
         return out
 
 
-def _support(pde):
-    """(m1, m2, a_m, b_m, c_m) for every monomial m != (0, 0) of a, b or c,
-    in canonical order."""
-    support = set(pde.a.coeffs) | set(pde.b.coeffs) | set(pde.c.coeffs)
-    support.discard((0, 0))
-    return [
-        (m1, m2, pde.a.get((m1, m2)), pde.b.get((m1, m2)), pde.c.get((m1, m2)))
-        for m1, m2 in sorted(support, key=index_key)
-    ]
-
-
-def recurrence_rhs(pde, r, s, Q, prior):
-    """The convolution term e_Q of the layer recurrence.
-
-    e_Q = sum over (i,j) < Q of [(i+r) a_{q1-i,q2-j} + (j+s) b_{q1-i,q2-j}
-    + c_{q1-i,q2-j}] D_{i,j}, i.e. every contribution except the diagonal
-    (0,0)-coefficient term P(q1+r, q2+s) D_Q.  `prior` must contain every
-    D_{i,j} the sum touches (zeros included).  The sum is the layer kernel
-    of `solve`, fed with just those priors.
-    """
-    q1, q2 = Q
-    n = q1 + q2
-    if n < 1:
-        raise ValueError("recurrence_rhs needs |Q| >= 1")
-    support = [m for m in _support(pde) if m[0] <= q1 and m[1] <= q2]
-    rows = [[] for _ in range(n)]
-    for m1, m2, *_ in support:
-        i, j = q1 - m1, q2 - m2
-        try:
-            rows[i + j].append((i, prior[(i, j)]))
-        except KeyError:
-            raise MissingPriorCoefficient(f"prior table lacks D_({i},{j}) needed for Q={tuple(Q)}") from None
-    return layer_rhs(support, r, s, n, rows).get(q1, 0j)
-
-
 def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     """Run the Frobenius recurrence up to order N at a conic point (r0, s0).
 
@@ -164,6 +143,9 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     the solution as its resonance certificate either way; an (r0, s0) off
     the conic is refused by the scan with BasePointNotOnConic.
 
+    The recurrence is that of the PDE times the common denominator q of a,
+    b, c (`RegularSingularPDE.cleared`): its conic is P as q(0, 0) = 1, and
+    monomial m of q adds q_m T(p', q') to the weights (`layer_sweep`).
     The layers are swept in order over the lattice points reachable from
     the support: D_Q is computed only where some nonzero D_P and support
     monomial m give P + m = Q.  Everywhere else e_Q = 0 exactly, so D_Q = 0
@@ -206,7 +188,10 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
             scale = abs(d)
         return d
 
-    table = layer_sweep(_support(pde), r0, s0, N, 1.0 + 0j, divide)
+    polys = pde.cleared()
+    monomials = sorted(set().union(*(f.coeffs for f in polys)) - {(0, 0)}, key=index_key)
+    support = [(*m, *(f.get(m) for f in polys)) for m in monomials]  # (m1, m2, q_m, a_m, b_m, c_m)
+    table = layer_sweep(support, r0, s0, N, 1.0 + 0j, divide, (pde.A, pde.B, pde.C))
     report = convergence_report(pde.A, pde.B, pde.C)
     return FrobeniusSolution(r0, s0, N, table, certificate, report)
 
@@ -352,5 +337,5 @@ def _prepare_one(series, axis):
     if series.constant_term() == 0:
         raise ZeroConstantTerm("leading coefficient vanishes at the origin")
     w = _power(series, -0.5, 1.0)
-    support = [(m1, 0, 0, 0, -v) for (m1, _), v in w.items() if m1]
+    support = [(m1, 0, 0, 0, 0, -v) for (m1, _), v in w.items() if m1]
     return CSeries2(series.order, layer_sweep(support, 0, 0, series.order, 1.0, lambda q1, q2, e: -e / q1))

@@ -21,15 +21,12 @@ def index_key(Q):
     return (Q[0] + Q[1], Q[0])
 
 
-def _check_finite(z):
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite coefficient {z!r}")
-
-
 class CSeries2:
-    """Immutable truncated bivariate power series with complex coefficients."""
+    """Immutable truncated bivariate power series with complex coefficients.
+    `fraction` is the pair (num, den) of polynomials, den(0, 0) = 1, that
+    `to_series` expanded the series from; None (den = 1) on any other."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "fraction")
 
     def __init__(self, order, coeffs=None):
         if order < 0:
@@ -43,11 +40,14 @@ class CSeries2:
                 if q1 + q2 > order:
                     continue
                 z = complex(v)
-                _check_finite(z)
                 if z != 0:
                     table[(q1, q2)] = z
+        if not all(map(cmath.isfinite, table.values())):
+            bad = next(z for z in table.values() if not cmath.isfinite(z))
+            raise ValueError(f"non-finite coefficient {bad!r}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", table)
+        object.__setattr__(self, "fraction", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CSeries2 is immutable")
@@ -185,31 +185,18 @@ def cauchy_mul(f, g):
 # support monomials m != (0, 0) with the layers below |Q|.
 
 
-def layer_rhs(support, r, s, n, rows):
-    """The convolution terms e_Q of layer n, as {q1: e_Q} over the Q that
-    some prior in `rows` reaches.
-
-    support lists (m1, m2, a_m, b_m, c_m) for the monomials m != (0, 0) in
-    canonical order; rows[k] lists the (q1, D_Q) of layer k < n.  Each pair
-    (P, m) with |P| + |m| = n adds [(p1+r) a_m + (p2+s) b_m + c_m] D_P to
-    e_{P+m}, so every e_Q sums its terms in canonical monomial order,
-    starting from +0j.  A Q no prior reaches has e_Q = 0.
-    """
-    acc = {}
-    for m1, m2, am, bm, cm in support:
-        k = n - m1 - m2
-        if k < 0:
-            break
-        for i, d in rows[k]:
-            q = i + m1
-            acc[q] = acc.get(q, 0j) + ((i + r) * am + (k - i + s) * bm + cm) * d
-    return acc
-
-
-def layer_sweep(support, r, s, order, d0, divide):
+def layer_sweep(support, r, s, order, d0, divide, symbol=None):
     """Coefficient table {(q1, q2): D_Q} up to |Q| = order, in canonical
     order, with D_(0,0) = d0 and D_Q = divide(q1, q2, e_Q) on every later
-    layer (e_Q from `layer_rhs`).
+    layer.
+
+    support lists (m1, m2, t_m, a_m, b_m, c_m) for the monomials m != (0, 0)
+    in canonical order.  Each nonzero D_P below layer |Q| and monomial m
+    with P + m = Q add the weight t_m T(p', q') + p' a_m + q' b_m + c_m,
+    with p' = p1 + r and q' = p2 + s, times D_P to e_Q, so every e_Q sums
+    its terms in canonical monomial order, starting from +0j.
+    T(p', q') = A p'(p'-1) + B p'q' + C q'(q'-1) is the second-order symbol
+    of symbol = (A, B, C); a monomial with t_m = 0 does not evaluate it.
 
     `divide` is called only at the Q that some nonzero prior reaches, in
     ascending q1 within each layer; everywhere else e_Q = 0, so D_Q = 0.
@@ -218,7 +205,20 @@ def layer_sweep(support, r, s, order, d0, divide):
     """
     rows = [[(0, d0)]]  # rows[n]: (q1, D_Q) of the nonzero D_Q of layer n, ascending q1
     for n in range(1, order + 1):
-        rhs = layer_rhs(support, r, s, n, rows)
+        rhs = {}  # q1 -> e_Q of layer n
+        for m1, m2, tm, am, bm, cm in support:
+            k = n - m1 - m2
+            if k < 0:
+                break
+            if tm:
+                A, B, C = symbol
+                for i, d in rows[k]:
+                    p, q = i + r, k - i + s
+                    w = tm * (A * p * (p - 1) + B * p * q + C * q * (q - 1)) + p * am + q * bm + cm
+                    rhs[i + m1] = rhs.get(i + m1, 0j) + w * d
+            else:
+                for i, d in rows[k]:
+                    rhs[i + m1] = rhs.get(i + m1, 0j) + ((i + r) * am + (k - i + s) * bm + cm) * d
         row = []
         for q1 in sorted(rhs):
             d = divide(q1, n - q1, rhs[q1])
@@ -243,7 +243,7 @@ def _power(f, alpha, g0):
     reads f0 |Q| g_Q + sum_{m != 0} (|Q-m| - alpha |m|) f_m g_{Q-m} = 0:
     J. C. P. Miller's formula for the powers of a series."""
     f0 = f.constant_term()
-    support = [(m1, m2, v, v, -alpha * (m1 + m2) * v) for (m1, m2), v in f.items() if m1 + m2]
+    support = [(m1, m2, 0, v, v, -alpha * (m1 + m2) * v) for (m1, m2), v in f.items() if m1 + m2]
     table = layer_sweep(support, 0, 0, f.order, g0, lambda q1, q2, e: -e / (f0 * (q1 + q2)))
     return CSeries2(f.order, table)
 
@@ -267,6 +267,6 @@ def sqrt_series(f):
 def exp_series(f):
     """exp of a series, to the same order.  Coefficient Q of
     theta(g) = theta(f) g reads |Q| g_Q = sum_{m != 0} |m| f_m g_{Q-m}."""
-    support = [(m1, m2, 0, 0, -(m1 + m2) * v) for (m1, m2), v in f.items() if m1 + m2]
+    support = [(m1, m2, 0, 0, 0, -(m1 + m2) * v) for (m1, m2), v in f.items() if m1 + m2]
     table = layer_sweep(support, 0, 0, f.order, cmath.exp(f.constant_term()), lambda q1, q2, e: -e / (q1 + q2))
     return CSeries2(f.order, table)

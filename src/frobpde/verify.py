@@ -1,8 +1,10 @@
 """Independent residual checking and numeric evaluation of solutions.
 
-apply_operator builds L[x^r0 y^s0 sum d_Q X^Q] / (x^r0 y^s0) by direct series
-multiplication -- a code path deliberately separate from the engine's
+apply_operator builds q L[x^r0 y^s0 sum d_Q X^Q] / (x^r0 y^s0) by direct
+series multiplication -- a code path deliberately separate from the engine's
 incremental recurrence, so that agreement between the two is meaningful.
+q, the common denominator of a, b and c, is a unit: q L[z] vanishes through
+layer N exactly when L[z] does.
 """
 
 import cmath
@@ -12,18 +14,19 @@ from dataclasses import dataclass
 
 from .errors import OutsideEstimatedDomain
 from .frobenius import radius_estimate
-from .multiseries import CSeries2, cauchy_mul, norm
+from .multiseries import CSeries2, norm
 
 
 def apply_operator(pde, r0, s0, coeffs):
-    """Coefficient table of L applied to x^r0 y^s0 sum d_Q X^Q.
+    """Coefficient table of q L applied to x^r0 y^s0 sum d_Q X^Q.
 
     The output coefficient at Q equals P(r0+q1, s0+q2) d_Q + e_Q.  Computed
-    here as T2 + a * Sx + b * Sy + c * S where T2 carries the pure
-    second-order weights A(q1+r)(q1+r-1) + B(q1+r)(q2+s) + C(q2+s)(q2+s-1)
-    and Sx, Sy, S are the shifted/unshifted coefficient series.  `coeffs` is
-    a CSeries2 (a FrobeniusSolution is one), computed to its order, or a
-    plain {(q1, q2): d} table, computed to its highest layer.
+    here as q T2 + (q a) Sx + (q b) Sy + (q c) S (`RegularSingularPDE.cleared`),
+    each product summed in full before the next is added, where T2 carries
+    the pure second-order weights A(q1+r)(q1+r-1) + B(q1+r)(q2+s)
+    + C(q2+s)(q2+s-1) and Sx, Sy, S are the shifted/unshifted coefficient
+    series.  `coeffs` is a CSeries2 (a FrobeniusSolution is one), computed to
+    its order, or a plain {(q1, q2): d} table, computed to its highest layer.
     """
     r0 = complex(r0)
     s0 = complex(s0)
@@ -34,20 +37,23 @@ def apply_operator(pde, r0, s0, coeffs):
     if pde.order < M:
         raise ValueError("pde series order must be >= coefficient table order")
     A, B, C = complex(pde.A), complex(pde.B), complex(pde.C)
-    t2 = {}
-    sx = {}
-    sy = {}
+    t2, sx, sy = {}, {}, {}
     for (q1, q2), d in S.coeffs.items():
-        rr = q1 + r0
-        ss = q2 + s0
+        rr, ss = q1 + r0, q2 + s0
         t2[(q1, q2)] = (A * rr * (rr - 1) + B * rr * ss + C * ss * (ss - 1)) * d
         sx[(q1, q2)] = rr * d
         sy[(q1, q2)] = ss * d
-    T2 = CSeries2(M, t2)
-    Sx = CSeries2(M, sx)
-    Sy = CSeries2(M, sy)
-    out = T2 + cauchy_mul(pde.a, Sx) + cauchy_mul(pde.b, Sy) + cauchy_mul(pde.c, S)
-    return out.coeffs
+    out = {}
+    for f, g in zip(pde.cleared(), (t2, sx, sy, S.coeffs)):
+        term = {}
+        for (m1, m2), fv in f.coeffs.items():
+            for (p1, p2), gv in g.items():
+                if m1 + m2 + p1 + p2 <= M:
+                    key = (m1 + p1, m2 + p2)
+                    term[key] = term.get(key, 0j) + fv * gv
+        for key, v in term.items():
+            out[key] = out.get(key, 0j) + v
+    return CSeries2(M, out).coeffs
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,8 @@ class ResidualReport:
 def residual_max(pde, solution):
     """Residual report of a FrobeniusSolution over every layer up to its order.
 
-    a, b and c have no negative exponents, so layer n of L[z] involves only
-    the D_Q with |Q| <= n: no layer up to the truncation order receives a
+    q, a, b and c have no negative exponents, so layer n of q L[z] involves
+    only the D_Q with |Q| <= n: no layer up to the truncation order gets a
     contribution from beyond it, and none is skipped.
     """
     out = apply_operator(pde, solution.r0, solution.s0, solution)

@@ -1,6 +1,6 @@
 """Helpers shared by the tests: series helpers, the catalog models, the
 per-point references for the engine and the resonance scan, and exact
-references for the series operations."""
+references for the series operations and for `to_series`."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,7 @@ from fractions import Fraction
 from frobpde.errors import BasePointNotOnConic, ResonantPoint
 from frobpde.frobenius import FrobeniusSolution, convergence_report
 from frobpde.indicial import DEFAULT_TOL, ResonanceReport, indicial_of
-from frobpde.multiseries import index_key, norm
+from frobpde.multiseries import CSeries2, cauchy_mul, index_key, norm, reciprocal
 
 #: every catalog model, with the parameters the tests solve it at
 CATALOG_MODELS = [
@@ -40,21 +40,30 @@ def max_abs_diff(f, g):
 # The engine and the resonance scan as they were before the layer sweep:
 # every Q of every layer, e_Q gathered over the whole sorted support from a
 # prior table that holds zeros too, and P evaluated with conic.evaluate at
-# every point.  solve and resonance_scan must reproduce them bit for bit.
+# every point.  The recurrence is that of the cleared PDE (the PDE times the
+# common denominator q of a, b and c), whose support monomials with q_m != 0
+# add q_m T(p', q') to the first-order weight.  solve and resonance_scan must
+# reproduce them bit for bit.
 
 
-def reference_rhs(pde, r, s, Q, prior):
-    """e_Q summed over the support in canonical order; every D_P it touches
-    must be in `prior`."""
+def reference_rhs(pde, cleared, r, s, Q, prior):
+    """e_Q of the cleared PDE `cleared` = (q, q a, q b, q c), summed over its
+    support in canonical order; every D_P it touches must be in `prior`."""
     q1, q2 = Q
-    support = set(pde.a.coeffs) | set(pde.b.coeffs) | set(pde.c.coeffs)
+    cq, ca, cb, cc = cleared
+    support = set(cq.coeffs) | set(ca.coeffs) | set(cb.coeffs) | set(cc.coeffs)
     support.discard((0, 0))
+    A, B, C = pde.A, pde.B, pde.C
     e = 0j
-    for m1, m2 in sorted(support, key=index_key):
-        if m1 > q1 or m2 > q2:
+    for m in sorted(support, key=index_key):
+        if m[0] > q1 or m[1] > q2:
             continue
-        i, j = q1 - m1, q2 - m2
-        weight = (i + r) * pde.a.get((m1, m2)) + (j + s) * pde.b.get((m1, m2)) + pde.c.get((m1, m2))
+        i, j = q1 - m[0], q2 - m[1]
+        if cq.get(m):
+            p, q = i + r, j + s
+            weight = cq.get(m) * (A * p * (p - 1) + B * p * q + C * q * (q - 1)) + p * ca.get(m) + q * cb.get(m) + cc.get(m)
+        else:
+            weight = (i + r) * ca.get(m) + (j + s) * cb.get(m) + cc.get(m)
         e += weight * prior[(i, j)]
     return e
 
@@ -92,12 +101,13 @@ def reference_solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
             f"resonant point ({r0}, {s0}): P vanishes at shifts {sorted(hit_set)}",
             certificate.hits,
         )
+    cleared = pde.cleared()
     table = {(0, 0): 1.0 + 0j}
     scale = 1.0
     for n in range(1, N + 1):
         for q1 in range(n + 1):
             Q = (q1, n - q1)
-            e = reference_rhs(pde, r0, s0, Q, table)
+            e = reference_rhs(pde, cleared, r0, s0, Q, table)
             if Q in hit_set:
                 if abs(e) <= tol * scale:
                     table[Q] = 0j
@@ -189,6 +199,59 @@ def exact_prepare(A, order):
     w = exact_sqrt({Q: a0 * v for Q, v in exact_reciprocal(A, order).items()}, order)
     h = {(q1 + 1, 0): w.get((q1 + 1, 0), 0) / (q1 + 1) for q1 in range(order)}
     return exact_exp(h, order)
+
+
+def exact_series(ast, params, order):
+    """The value of an expression AST over real dyadic literals and
+    parameters, as an exact table; ZeroDivisionError when a divisor
+    vanishes at the origin."""
+    kind = ast[0]
+    if kind in ("num", "param"):
+        return {(0, 0): Fraction(ast[1] if kind == "num" else params[ast[1]])}
+    if kind == "var":
+        return {(1, 0) if ast[1] == "x" else (0, 1): Fraction(1)}
+    if kind == "neg":
+        return {Q: -v for Q, v in exact_series(ast[1], params, order).items()}
+    if kind == "pow":
+        base, out = exact_series(ast[1], params, order), {(0, 0): Fraction(1)}
+        for _ in range(ast[2]):
+            out = exact_mul(out, base, order)
+        return out
+    f, g = exact_series(ast[1], params, order), exact_series(ast[2], params, order)
+    if kind == "mul":
+        return exact_mul(f, g, order)
+    if kind == "div":
+        if not g.get((0, 0)):
+            raise ZeroDivisionError("divisor vanishes at the origin")
+        return exact_mul(f, exact_reciprocal(g, order), order)
+    sign = 1 if kind == "add" else -1
+    return {Q: f.get(Q, 0) + sign * g.get(Q, 0) for Q in f.keys() | g.keys()}
+
+
+def dense_to_series(ast, params, order):
+    """`to_series` as it was before it kept fractions: every node a dense
+    series, every division a product with the reciprocal of the divisor."""
+    kind = ast[0]
+    if kind in ("num", "param"):
+        return CSeries2.constant(ast[1] if kind == "num" else params[ast[1]], order)
+    if kind == "i":
+        return CSeries2.constant(1j, order)
+    if kind == "var":
+        return CSeries2.variable(ast[1], order)
+    if kind == "neg":
+        return -dense_to_series(ast[1], params, order)
+    if kind == "pow":
+        base = dense_to_series(ast[1], params, order)
+        result = CSeries2.one(order)
+        for _ in range(ast[2]):
+            result = cauchy_mul(result, base)
+        return result
+    f, g = dense_to_series(ast[1], params, order), dense_to_series(ast[2], params, order)
+    if kind == "add":
+        return f + g
+    if kind == "sub":
+        return f - g
+    return cauchy_mul(f, g if kind == "mul" else reciprocal(g))
 
 
 def layer_relative_error(series, exact):

@@ -6,10 +6,7 @@ summary by conftest.py), then asserts.
 
 import math
 import random
-import sys
 import time
-
-import pytest
 
 from frobpde import catalog
 from frobpde.errors import ResonantPoint
@@ -21,7 +18,7 @@ from frobpde.frobenius import (
     radius_estimate,
     solve,
 )
-from frobpde.indicial import IndicialConic, classify, resonance_scan
+from frobpde.indicial import classify, resonance_scan
 from frobpde.multiseries import CSeries2, cauchy_mul
 from helpers import max_abs_diff
 from frobpde.verify import apply_operator, residual_max

@@ -6,6 +6,7 @@ from frobpde import catalog
 from frobpde.errors import MissingParameter
 from frobpde.frobenius import radius_estimate
 from frobpde.verify import residual_max
+from helpers import CATALOG_MODELS
 
 
 def agree(name, pt=None, N=14, tol=1e-12, **params):
@@ -73,6 +74,19 @@ class TestClosedFormAgreement:
     def test_chebyshev(self):
         assert agree("chebyshev_I", p=2.5) < 1e-12
         assert agree("chebyshev_II", p=2.5) < 1e-12
+
+    @pytest.mark.parametrize("name, params", [m for m in CATALOG_MODELS if m[0].startswith(("legendre", "chebyshev"))])
+    def test_rational_models_at_order_80(self, name, params):
+        # solved on the cleared denominator 1 - x^2 or 1 - xy: every layer
+        # within 1e-14 of its largest closed-form coefficient
+        N = 80
+        ent = catalog.entry(name, **params)
+        sol = catalog.solve_entry(ent, N=N)
+        for n in range(N + 1):
+            layer = [(q1, n - q1) for q1 in range(n + 1)]
+            exact = [catalog.closed_form_coeff(ent, sol.r0, sol.s0, Q) for Q in layer]
+            err = max(abs(sol.get(Q) - v) for Q, v in zip(layer, exact))
+            assert err <= 1e-14 * max(abs(v) for v in exact), n
 
     def test_laguerre(self):
         assert agree("laguerre_I", lam=1.3) < 1e-12

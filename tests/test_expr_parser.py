@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +10,8 @@ from frobpde.errors import (
     UnboundParameter,
 )
 from frobpde.expr_parser import parse_expr, pretty, to_series
-from frobpde.multiseries import CSeries2
-from helpers import max_abs_diff
+from frobpde.multiseries import CSeries2, cauchy_mul, reciprocal
+from helpers import bits, dense_to_series, exact_mul, exact_reciprocal, exact_series, max_abs_diff
 
 
 def ev(text, params=None, order=6):
@@ -151,3 +153,100 @@ class TestProperties:
         rhs = to_series(parse_expr(t1), params, 4) * to_series(parse_expr(t2), params, 4)
         scale = 1 + max((abs(v) for v in rhs.coeffs.values()), default=0.0)
         assert max_abs_diff(lhs, rhs) < 1e-9 * scale
+
+
+# -- fractions ------------------------------------------------------------------
+# Expressions whose divisors are fixed units or vanish at the origin by
+# construction, so that whether a divisor is a unit never depends on rounding.
+# The literals are dyadic, so num and den are exact unless the units 3 - x or
+# 1 - 0.1xy bring rounding in.
+
+_ATOMS_Q = st.sampled_from(["x", "y", "2", "0.5", "-1.5", "0.25", "lam"])
+_UNITS = st.sampled_from(["(1 - x*y)", "(1 - x)", "(2 + y)", "(1 - 0.5*x + y^2)", "(0.5 - x^2)",
+                          "(1 + x)^2", "(-1 + 0.25*x*y)", "((1 - x)/(2 + y))", "(3 - x)", "(1 - 0.1*x*y)"])
+_ROUNDING_UNITS = ("(3 - x)", "0.1")
+#: unit roundoff of binary64
+U = 2.0 ** -53
+
+
+@st.composite
+def rational_exprs(draw, depth=3):
+    if depth == 0:
+        return draw(_ATOMS_Q)
+    kind = draw(st.sampled_from(["atom", "add", "sub", "mul", "div", "div", "zero_div", "neg", "pow"]))
+    if kind == "atom":
+        return draw(_ATOMS_Q)
+    lhs = draw(rational_exprs(depth=depth - 1))
+    if kind in ("add", "sub", "mul"):
+        op = {"add": "+", "sub": "-", "mul": "*"}[kind]
+        return f"({lhs}) {op} ({draw(rational_exprs(depth=depth - 1))})"
+    if kind == "div":
+        return f"({lhs}) / {draw(_UNITS)}"
+    if kind == "zero_div":  # a divisor that vanishes at the origin
+        other = draw(rational_exprs(depth=depth - 1))
+        return f"({lhs}) / " + draw(st.sampled_from([f"(x*({other}))", f"(({other}) - ({other}))", "y^2", "(x - y)"]))
+    if kind == "neg":
+        return f"-({lhs})"
+    return f"({lhs})^{draw(st.integers(0, 3))}"
+
+
+def _exact(series):
+    return {Q: Fraction(v.real) for Q, v in series.coeffs.items()}
+
+
+def _absolute(series):
+    return CSeries2(series.order, {Q: abs(v) for Q, v in series.coeffs.items()})
+
+
+class TestFractions:
+    PARAMS = {"lam": 0.75}
+
+    @given(rational_exprs(), st.integers(4, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_fraction_against_exact_expansion(self, text, order):
+        ast = parse_expr(text)
+        try:
+            exact = exact_series(ast, self.PARAMS, order)
+        except ZeroDivisionError:
+            with pytest.raises(DivisionBySeriesWithZeroConstantTerm):
+                to_series(ast, self.PARAMS, order)
+            return
+        series = to_series(ast, self.PARAMS, order)
+        if series.fraction is None:  # den = 1: the series is the polynomial itself
+            assert bits(series) == bits(dense_to_series(ast, self.PARAMS, order))
+            return
+        num, den = series.fraction
+        assert den.get((0, 0)) == 1
+        quotient = exact_mul(_exact(num), exact_reciprocal(_exact(den), order), order)
+        if not any(unit in text for unit in _ROUNDING_UNITS):  # num and den are exact
+            assert {Q: v for Q, v in quotient.items() if v} == {Q: v for Q, v in exact.items() if v}
+        # one reciprocal and one product away from num/den: within a few ulp
+        # of the magnitudes they sum, |num| |r| |den| |r| with r = 1/den
+        r = _absolute(reciprocal(den))
+        bound = cauchy_mul(cauchy_mul(_absolute(num), _absolute(den)), r)
+        for Q, v in cauchy_mul(den, series).coeffs.items():
+            assert abs(v - num.get(Q)) <= 8 * U * bound.get(Q).real
+        bound = cauchy_mul(bound, r)
+        for Q in series.coeffs.keys() | quotient.keys():
+            assert abs(Fraction(series.get(Q).real) - quotient.get(Q, 0)) <= 8 * U * bound.get(Q).real
+
+    def test_polynomial_expressions_carry_no_denominator(self):
+        for text in ("x^2 - 2*x*y + y^2", "lam*(lam+1)*x^2", "(1 - x)^3*(2 + y)", "x/2 + y/0.5"):
+            ast = parse_expr(text)
+            series = to_series(ast, self.PARAMS, 8)
+            assert series.fraction is None
+            assert bits(series) == bits(dense_to_series(ast, self.PARAMS, 8))
+
+    def test_fraction_slot(self):
+        series = ev("-2*x^2/(1-x*y) + 3", order=8)
+        num, den = series.fraction
+        assert num == ev("-2*x^2 + 3*(1-x*y)", order=8)
+        assert den == ev("1 - x*y", order=8)
+        half = ev("1/(2 - x)", order=8)  # den(0, 0) is normalized to 1
+        assert half.fraction == (ev("0.5", order=8), ev("1 - 0.5*x", order=8))
+        assert (series + half).fraction is None  # only to_series fills it
+
+    @pytest.mark.parametrize("text", ["x/x", "1/(x-x)", "(1 - x)/(x*(1 - x))", "y/(1/(1-x) - 1)"])
+    def test_common_factors_never_cancelled(self, text):
+        with pytest.raises(DivisionBySeriesWithZeroConstantTerm):
+            ev(text)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from frobpde import catalog
 from frobpde.errors import (
     BasePointNotOnConic,
-    MissingPriorCoefficient,
     ResonantPoint,
     ZeroConstantTerm,
 )
@@ -18,7 +17,6 @@ from frobpde.frobenius import (
     convergence_report,
     prepare_coordinates,
     radius_estimate,
-    recurrence_rhs,
     solve,
 )
 from frobpde.multiseries import CSeries2, cauchy_mul
@@ -133,29 +131,28 @@ class TestSolveBasics:
         assert back == sol and back.to_json() == sol.to_json()
 
 
-class TestRecurrenceRHS:
-    def test_matches_definition(self):
-        pde = make_pde(1, 2, 1, "1 - x", "1 + y", "x*y - 1", order=6)
-        conic = pde.conic()  # (r+s)^2 - 1, nonresonant at (1, 0)
-        sol = solve(pde, 1.0, 0.0, 6)
-        # identity: P(r+q1, s+q2) D_Q + e_Q = 0 for |Q| >= 1
-        full = {(q1, q2): sol.get((q1, q2)) for q1 in range(7) for q2 in range(7 - q1)}
-        for Q, d in full.items():
-            if Q == (0, 0):
-                continue
-            e = recurrence_rhs(pde, sol.r0, sol.s0, Q, full)
-            p = conic.evaluate(sol.r0 + Q[0], sol.s0 + Q[1])
-            assert abs(p * d + e) < 1e-10
+class TestClearedDenominators:
+    def test_cleared_polynomials(self):
+        pde = make_pde(1, 2, 1, "1/(1-x)", "2 + y/(1-y)", "x*y/(1-x) - 0.25", order=10)
+        q, a, b, c = pde.cleared()
+        one_x, one_y = (to_series(parse_expr(t), {}, 10) for t in ("1 - x", "1 - y"))
+        assert q == cauchy_mul(one_x, one_y)
+        assert a == one_y and b == to_series(parse_expr("(2 - y)*(1 - x)"), {}, 10)
+        assert c == to_series(parse_expr("x*y*(1 - y) - 0.25*(1 - x)*(1 - y)"), {}, 10)
+        poly = make_pde(1, 2, 1, "1 - x", "1", "x^2", order=10)
+        assert poly.cleared() == (CSeries2.one(10), poly.a, poly.b, poly.c)
 
-    def test_missing_prior(self):
-        pde = make_pde(1, 2, 1, "1", "1", "x^2")
-        with pytest.raises(MissingPriorCoefficient):
-            recurrence_rhs(pde, 0, 0, (4, 0), {(0, 0): 1.0})
-
-    def test_rejects_origin(self):
-        pde = make_pde(1, 2, 1, "1", "1", "x^2")
-        with pytest.raises(ValueError):
-            recurrence_rhs(pde, 0, 0, (0, 0), {})
+    def test_distinct_denominators_match_the_dense_path(self):
+        # q = (1 - x)(1 - y) with variable q A, q B, q C, against the same
+        # a, b, c expanded into dense series, which carry no fraction
+        N = 30
+        pde = make_pde(1, 2, 1, "1/(1-x)", "2 + y/(1-y)", "x*y/(1-x) - 0.25", order=N)
+        dense = RegularSingularPDE(1, 2, 1, *(CSeries2(N, f.coeffs) for f in (pde.a, pde.b, pde.c)))
+        assert dense.cleared()[0] == CSeries2.one(N)
+        s0 = (math.sqrt(2) - 1) / 2  # P(0, s) = s^2 + s - 1/4
+        sol = solve(pde, 0, s0, N)
+        ref = solve(dense, 0, s0, N)
+        assert max_abs_diff(sol, ref) <= 1e-13 * max(abs(v) for v in ref.coeffs.values())
 
 
 class TestRadiusEstimate:

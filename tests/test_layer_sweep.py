@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from frobpde import catalog
 from frobpde.errors import ResonantPoint
-from frobpde.frobenius import RegularSingularPDE, recurrence_rhs, solve
+from frobpde.frobenius import RegularSingularPDE, solve
 from frobpde.indicial import IndicialConic, indicial_of, resonance_scan
 from frobpde.multiseries import CSeries2
-from helpers import CATALOG_MODELS, bits, reference_rhs, reference_scan, reference_solve
+from helpers import CATALOG_MODELS, bits, reference_scan, reference_solve
 
 
 def scan_bits(report):
@@ -47,23 +47,6 @@ def test_catalog_models(name, params, N):
     assert got[0][0][0] == (0, 0)  # solved, not refused
     conic = indicial_of(pde)
     assert scan_bits(resonance_scan(conic, r0, s0, N)) == scan_bits(reference_scan(conic, r0, s0, N))
-
-
-@pytest.mark.parametrize(
-    "name, params", [m for m in CATALOG_MODELS if m[0] in ("bessel_I", "legendre_II", "disturbed_heat")]
-)
-def test_recurrence_rhs_matches_reference(name, params):
-    # a full prior table, zeros included, as recurrence_rhs documents
-    N = 14
-    ent = catalog.entry(name, **params)
-    pde = catalog.make_pde(ent, N)
-    sol = catalog.solve_entry(ent, N=N)
-    full = {(q1, n - q1): sol.get((q1, n - q1)) for n in range(N + 1) for q1 in range(n + 1)}
-    for Q in full:
-        if Q != (0, 0):
-            got = recurrence_rhs(pde, sol.r0, sol.s0, Q, full)
-            want = reference_rhs(pde, sol.r0, sol.s0, Q, full)
-            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 # -- hypothesis-drawn PDEs -----------------------------------------------------

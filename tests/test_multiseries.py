@@ -82,6 +82,9 @@ class TestCSeries2:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             series(3, {(0, 0): float("inf")})
+        with pytest.raises(ValueError, match=r"non-finite coefficient \(1\+nanj\)"):
+            series(3, {(0, 0): 2.0, (1, 1): complex(1, float("nan"))})
+        assert series(1, {(0, 0): 2.0, (1, 1): float("nan")}).coeffs == {(0, 0): 2.0}  # beyond the order
 
     def test_equality_structural(self):
         assert series(3, {(1, 1): 2.0}) == series(3, {(1, 1): 2.0, (0, 1): 0.0})
