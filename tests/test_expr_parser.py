@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobpde.errors import (
@@ -202,6 +202,8 @@ class TestFractions:
     PARAMS = {"lam": 0.75}
 
     @given(rational_exprs(), st.integers(4, 8))
+    @example("((x) / (1 - x*y))^2 - (y) / (2 + y)", 6)  # a power and a sum of fractions
+    @example("(2 - (y) / ((1 - x)/(2 + y)))^3", 5)
     @settings(max_examples=150, deadline=None)
     def test_fraction_against_exact_expansion(self, text, order):
         ast = parse_expr(text)
