@@ -138,6 +138,11 @@ def _complex_member(value, pointer):
 _TOP_KEYS = {"A", "B", "C", "a", "b", "c", "params", "point", "order", "tolerances"}
 
 
+def _is_tol(value):
+    """A tolerance is a positive finite number (json reads NaN and Infinity)."""
+    return 0 < value <= sys.float_info.max
+
+
 def load_problem(path):
     """Read, validate and resolve a problem JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -191,8 +196,8 @@ def load_problem(path):
         for key, value in tols.items():
             if key != "tol":
                 raise SchemaError(f"unknown tolerance {key!r}", f"/tolerances/{key}")
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-                raise SchemaError("tol must be a positive number", "/tolerances/tol")
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not _is_tol(value):
+                raise SchemaError("tol must be a positive finite number", "/tolerances/tol")
             tol = float(value)
 
     return ProblemSpec(A, B, C, series[0], series[1], series[2], params, point, order, tol)
@@ -308,6 +313,8 @@ def _is_integral(z):
 
 
 def _cmd_euler(args):
+    if not _is_tol(args.tol):
+        raise SchemaError("tol must be a positive finite number", "--tol")
     coeffs = [complex(v) for v in (args.A, args.B, args.C, args.D, args.E, args.F)]
     pde = EulerPDE(*coeffs)
     conic = pde.conic()

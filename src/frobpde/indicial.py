@@ -1,12 +1,21 @@
 """Indicial conics: construction, classification, point solving, resonance."""
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 from .errors import BasePointNotOnConic, ComplexCoefficients, NoSolution
 
 #: resonance / on-conic tolerance (absolute)
 DEFAULT_TOL = 1e-9
+
+#: rounding allowance m of the resonance scan, far above the few unit
+#: roundoffs of |P| and of the row coefficients; 2 sqrt(m) for the roots
+_ROUNDING, _ROOT_ROUNDING = 2.0 ** -44, 2.0 ** -21
+
+#: rows of the resonance scan with fewer shifts are evaluated whole, which
+#: takes about as long as solving one row for its roots
+_SHORT_ROW = 10
 
 #: sentinel returned by solve_for_s when the equation degenerates to 0 = 0
 ALL_SOLUTIONS = object()
@@ -141,9 +150,8 @@ def solve_for_s(conic, r):
     if disc == 0:
         return [-lin / (2.0 * quad)]
     root = cmath.sqrt(disc)
-    roots = [(-lin + root) / (2.0 * quad), (-lin - root) / (2.0 * quad)]
-    roots.sort(key=lambda z: (z.real, z.imag))
-    return roots
+    s1, s2 = (-lin + root) / (2.0 * quad), (-lin - root) / (2.0 * quad)
+    return [s2, s1] if (s2.real, s2.imag) < (s1.real, s1.imag) else [s1, s2]
 
 
 @dataclass(frozen=True)
@@ -170,11 +178,26 @@ class ResonanceReport:
 def resonance_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
     """Scan all shifts Q in N^2 \\ {0} with |Q| <= N for conic returns.
 
-    A hit at Q means |P(r0+q1, s0+q2)| < tol, i.e. the Frobenius recurrence
-    would divide by (numerically) zero there.
+    A hit at Q means |P(r0+q1, s0+q2)| < tol (a number >= 0), i.e. the
+    Frobenius recurrence would divide by (numerically) zero there.
+
+    A conic meets each row r = r0 + q1 in at most two points, the roots s_i
+    of P(r, s) = 0 from solve_for_s.  P is evaluated only at the integers
+    q2 within w of Re(s_i - s0), for the s_i with |Im(s_i - s0)| < w.  On
+    the row P = cC (s - s1)(s - s2), or lin (s - s1) when cC = 0, and the
+    rounding of |P| and of the row coefficients stays below m T, with
+    m = 2^-44 and T a bound of the sum of the magnitudes of the six terms
+    of P on the row.  So w is sqrt((tol + m T) / |cC|), or
+    (tol + m T) / |lin|, plus 2 sqrt(m) sum |s_i| for the rounding of the
+    roots.  A row is evaluated whole when P is constant in s, when w is not
+    finite or spans the row, and when the row is shorter than _SHORT_ROW.
+    Each |P| is summed as conic.evaluate sums it, so the hits and their
+    magnitudes are those of a scan of every shift, bit for bit.
     """
     if N < 1:
         raise ValueError("scan bound N must be >= 1")
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be a number >= 0, got {tol!r}")
     r0 = complex(r0)
     s0 = complex(s0)
     base = conic.evaluate(r0, s0)
@@ -182,22 +205,38 @@ def resonance_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
         raise BasePointNotOnConic(
             f"({r0}, {s0}) is not on the conic: |P| = {abs(base):.3e} >= {tol:.3e}"
         )
-    # P(r0+q1, s0+q2) as conic.evaluate sums it, with every product that
-    # depends on q1 alone or on q2 alone computed once per row or column
-    cA, cB, cC, cD, cE, cF = conic.coefficients()
-    rs = [r0 + k for k in range(N + 1)]
+    cA, cB, cC, cD, cE, cF = coeffs = conic.coefficients()
+    aA, aB, aC, aD, aE, aF = (math.hypot(z.real, z.imag) for z in coeffs)
+    R0, S = math.hypot(r0.real, r0.imag), math.hypot(s0.real, s0.imag) + N  # S bounds |s|
     ss = [s0 + k for k in range(N + 1)]
-    Ar = [cA * r * r for r in rs]
-    Br = [cB * r for r in rs]
-    Dr = [cD * r for r in rs]
     Cs = [cC * s * s for s in ss]
     Es = [cE * s for s in ss]
-    hits = []  # canonical order: ascending norm, then q1
-    for n in range(1, N + 1):
-        for q1 in range(n + 1):
-            q2 = n - q1
-            mag = abs(Ar[q1] + Br[q1] * ss[q2] + Cs[q2] + Dr[q1] + Es[q2] + cF)
+    hits = []
+    for q1 in range(N + 1):
+        r, first, last = r0 + q1, (0 if q1 else 1), N - q1
+        w = math.inf
+        if last >= _SHORT_ROW:
+            ar = R0 + q1  # bounds |r|
+            slack = tol + _ROUNDING * ((aA * ar + aB * S + aD) * ar + (aC * S + aE) * S + aF)
+            try:
+                roots = solve_for_s(conic, r)
+                if roots is not ALL_SOLUTIONS:
+                    w = _ROOT_ROUNDING * sum(map(abs, roots))
+                    w += math.sqrt(slack / aC) if cC else slack / abs(cB * r + cE)
+            except (NoSolution, OverflowError):  # P constant in s, or a root beyond the float range
+                pass
+        q2s = range(first, last + 1)
+        if 2 * w < last:
+            q2s = set()
+            for root in roots:
+                t = root - s0
+                if abs(t.imag) < w and first - w <= t.real <= last + w:
+                    q2s.update(range(max(first, math.floor(t.real - w)), min(last, math.ceil(t.real + w)) + 1))
+        Ar, Br, Dr = cA * r * r, cB * r, cD * r
+        for q2 in q2s:
+            mag = abs(Ar + Br * ss[q2] + Cs[q2] + Dr + Es[q2] + cF)
             if mag < tol:
                 hits.append(((q1, q2), mag))
+    hits.sort(key=lambda hit: (sum(hit[0]), hit[0][0]))  # canonical: norm, then q1
     nonres = N if not hits else sum(hits[0][0]) - 1
     return ResonanceReport(r0, s0, N, tuple(hits), nonres)

@@ -66,6 +66,20 @@ class TestLoadProblem:
         assert info.value.pointer == "/tolerances/foo"
 
 
+    @pytest.mark.parametrize("tol", ["NaN", "Infinity", "-Infinity", "-1e-9", "0", "1e400",
+                                     pytest.param("1" + "0" * 400, id="int-10^400")])
+    def test_tolerance_not_positive_and_finite(self, tmp_path, tol):
+        # json reads NaN and Infinity; a NaN tol used to switch the scan off
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(dict(BESSEL, point=[3, 0.5]))[:-1] + f', "tolerances": {{"tol": {tol}}}}}')
+        with pytest.raises(SchemaError) as info:
+            load_problem(str(path))
+        assert info.value.pointer == "/tolerances/tol"
+
+
+OFF_CONIC_NAN = dict(BESSEL, B=0, c="-x^2-y^2", point=[3, 0.5], order=6)  # P(3, 0.5) = 9.25
+
+
 class TestExitCodes:
     def test_success(self, tmp_path, capsys):
         assert main(["classify", write(tmp_path, BESSEL)]) == 0
@@ -87,6 +101,23 @@ class TestExitCodes:
 
     def test_input_error_expression(self, tmp_path, capsys):
         assert main(["classify", write(tmp_path, dict(BESSEL, c="x^"))]) == 1
+
+    @pytest.mark.parametrize("command", ["scan-resonance", "solve"])
+    @pytest.mark.parametrize("tol", ["NaN", "Infinity", "-1"])
+    def test_tolerance_refused(self, tmp_path, capsys, command, tol):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(OFF_CONIC_NAN)[:-1] + f', "tolerances": {{"tol": {tol}}}}}')
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol must be a positive finite number (at /tolerances/tol)\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_euler_tolerance_refused(self, capsys, tol):
+        assert main(["euler", "1", "0", "0", "1", "-1", "0", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol must be a positive finite number (at --tol)\n"
 
     def test_usage_error(self, capsys):
         assert main(["solve"]) == 1

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from frobpde.errors import BasePointNotOnConic, ComplexCoefficients, NoSolution
 from frobpde.expr_parser import parse_expr, to_series
-from frobpde.frobenius import RegularSingularPDE
+from frobpde.frobenius import RegularSingularPDE, solve
 from frobpde.indicial import (
     ALL_SOLUTIONS,
     IndicialConic,
@@ -160,6 +160,22 @@ class TestResonanceScan:
     def test_canonical_hit_order(self):
         rep = resonance_scan(conic(1, 2, 1, -1, -1, 0), 0.5, -0.5, 10)
         assert rep.hit_indices() == sorted(rep.hit_indices(), key=lambda Q: (Q[0] + Q[1], Q[0]))
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("-inf")])
+    def test_tolerance_not_a_number_or_negative_refused(self, tol):
+        # a NaN tol would turn the on-conic check and every comparison off:
+        # r^2 + s^2 at (3, 0.5), where P = 9.25
+        with pytest.raises(ValueError, match="tolerance must be a number >= 0"):
+            resonance_scan(conic(1, 0, 1, 0, 0, 0), 3, 0.5, 6, tol=tol)
+        a, b, c = (to_series(parse_expr(t), {}, 6) for t in ("1", "1", "-x^2-y^2"))
+        with pytest.raises(ValueError, match="tolerance must be a number >= 0"):
+            solve(RegularSingularPDE(1, 0, 1, a, b, c), 3, 0.5, 6, tol=tol)
+
+    def test_tolerance_zero_and_infinite(self):
+        with pytest.raises(BasePointNotOnConic):  # |P| >= 0 everywhere
+            resonance_scan(conic(1, 0, 0, 0, -1, 0), 0.5, 0.25, 6, tol=0.0)
+        rep = resonance_scan(conic(1, 0, 1, 0, 0, -9.25), 3, 0.5, 6, tol=float("inf"))
+        assert len(rep.hits) == 6 * 9 // 2  # every finite |P| is below inf
 
     def test_json_round(self):
         rep = resonance_scan(conic(1, 0, 0, 0, -1, 0), 0.5, 0.25, 6)

@@ -1,13 +1,13 @@
-"""The layer sweep of `solve` and the hoisted `resonance_scan` against the
-per-point references in helpers.py: the same coefficient bits in the same
+"""The layer sweep of `solve` and the row windows of `resonance_scan` against
+the per-point references in helpers.py: the same coefficient bits in the same
 key order, the same certificates and the same refusals."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobpde import catalog
-from frobpde.errors import ResonantPoint
+from frobpde.errors import BasePointNotOnConic, ResonantPoint
 from frobpde.frobenius import RegularSingularPDE, solve
 from frobpde.indicial import IndicialConic, indicial_of, resonance_scan
 from frobpde.multiseries import CSeries2
@@ -152,3 +152,74 @@ def test_scan_every_value(values, N):
     got = resonance_scan(conic, r0, s0, N, tol=1e300)
     assert len(got.hits) == N * (N + 3) // 2
     assert scan_bits(got) == scan_bits(reference_scan(conic, r0, s0, N, tol=1e300))
+
+
+# -- conics with planted hits ----------------------------------------------------
+# Random conics almost never meet the lattice, so these are built to vanish at
+# the base point and at one or two drawn shifts.  The row windows of
+# resonance_scan must find every hit of the scan over all shifts.
+
+point = st.one_of(
+    half.map(complex),
+    st.builds(complex, half, half),
+    st.sampled_from([1e8, 1e8 + 0.5, -3e7 + 0.5j]),
+    st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)),
+)
+
+
+@st.composite
+def planted_conics(draw):
+    """A u^2 + B uv + C v^2 + D u + E v in u = r - r0, v = s - s0, expanded:
+    zero at (r0, s0) and, with D and E solved for, at one or two shifts."""
+    N = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["general", "parabolic", "linear rows"]))
+    if kind == "parabolic":  # k (p u + q v)^2: a double root on every row
+        p, q, k = draw(small_int), draw(small_int), draw(st.sampled_from([1, -2, 0.5]))
+        A, B, C = k * p * p, 2 * k * p * q, k * q * q
+    else:
+        A, B = draw(small_int), draw(small_int)
+        C = 0 if kind == "linear rows" else draw(small_int)  # C = 0: P is linear in s where lin != 0
+    D, E = draw(small_int), draw(small_int)
+    shift = st.tuples(st.integers(0, N), st.integers(0, N)).filter(lambda Q: 1 <= sum(Q) <= N)
+    (a1, b1), (a2, b2) = draw(shift), draw(shift)
+    quad1, quad2 = A * a1 * a1 + B * a1 * b1 + C * b1 * b1, A * a2 * a2 + B * a2 * b2 + C * b2 * b2
+    det = a1 * b2 - a2 * b1
+    if det and draw(st.booleans()):  # through both shifts
+        D, E = (-quad1 * b2 + quad2 * b1) / det, (-quad2 * a1 + quad1 * a2) / det
+    elif b1:  # through the first
+        E = -(quad1 + D * a1) / b1
+    else:
+        D = -quad1 / a1
+    r0, s0 = draw(point), draw(point)
+    k = draw(st.sampled_from([1, -1, 1j, 2 - 3j, 1e-6, 1e6]))
+    coeffs = (A, B, C, D - 2 * A * r0 - B * s0, E - B * r0 - 2 * C * s0,
+              A * r0 * r0 + B * r0 * s0 + C * s0 * s0 - D * r0 - E * s0)
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.0, 1e-9, 1e-3, 1e300]))
+    return IndicialConic(*(k * complex(c) for c in coeffs)), r0, s0, N, tol
+
+
+def scan_outcome(scan, conic, r0, s0, N, tol):
+    try:
+        return scan_bits(scan(conic, r0, s0, N, tol))
+    except BasePointNotOnConic as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(planted_conics())
+# P = 1e-12: solve_for_s raises NoSolution on every row, yet every shift hits
+@example((IndicialConic(0j, 0j, 0j, 0j, 0j, 1e-12 + 0j), 0.5, 0.5, 12, 1e-9))
+# |cC| = 1e-300: the window spans every row at tol = 1e-9, and tol / |cC|
+# overflows at tol = 1e300
+@example((IndicialConic(1 + 0j, 0j, 1e-300 + 0j, 0j, -1 + 0j, 0j), 0, 0, 25, 1e-9))
+@example((IndicialConic(1 + 0j, 0j, 1e-300 + 0j, 0j, -1 + 0j, 0j), 0, 0, 25, 1e300))
+# 1e300 s^2 + 1e160 s: the discriminant overflows, so both roots are inf,
+# yet P(r, 0) = 0 on every row
+@example((IndicialConic(0j, 0j, 1e300 + 0j, 0j, 1e160 + 0j, 0j), 0, 0, 30, 1e-9))
+# r0 = 1e8: terms near 1e16, so the computed roots and |P| carry rounding
+@example((IndicialConic(1 + 0j, 0j, -1 + 0j, -2e8 + 0j, 0j, 1e16 + 0j), 1e8, 0, 20, 1e-3))
+@example((IndicialConic(1 + 0j, -2 + 0j, 1 + 0j, -2e8 + 1 + 0j, 2e8 - 1 + 0j, 1e16 - 1e8 + 0j),
+          1e8, 0, 20, 1e-9))
+def test_planted_hits(case):
+    got = scan_outcome(resonance_scan, *case)
+    assert got == scan_outcome(reference_scan, *case)
