@@ -11,7 +11,7 @@ resonances on its diagonal support, so its solver runs with the
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import MissingParameter
@@ -138,11 +138,10 @@ _SPECS = {
 NAMES = tuple(_SPECS)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    params: tuple  # sorted (name, complex value) pairs
-    normalized: bool
+class CatalogEntry(namedtuple("CatalogEntry", "name params normalized")):
+    """params: sorted (name, complex value) pairs"""
+
+    __slots__ = ()
 
     def param(self, key):
         return dict(self.params)[key]

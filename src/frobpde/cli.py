@@ -17,8 +17,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from collections import namedtuple
 
 from . import catalog as catalog_mod
 from . import __version__
@@ -107,18 +106,11 @@ def _emit_csv(header, rows):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProblemSpec:
-    A: complex
-    B: complex
-    C: complex
-    a: object  # CSeries2
-    b: object
-    c: object
-    params: dict
-    point: object  # "auto" or (complex, complex)
-    order: int
-    tol: float
+class ProblemSpec(namedtuple("ProblemSpec", "A B C a b c params point order tol")):
+    """a, b, c: CSeries2
+    point: "auto" or (complex, complex)"""
+
+    __slots__ = ()
 
 
 def _complex_member(value, pointer):
@@ -492,6 +484,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if getattr(args, "meta", False):
+        from datetime import datetime, timezone
+
         stamp = datetime.now(timezone.utc).isoformat()
         print(_dump({"timestamp": stamp, "tool": "frobpde", "version": __version__}), file=sys.stderr)
     return 0

@@ -6,27 +6,22 @@ The operator is A x^2 z_xx + B xy z_xy + C y^2 z_yy + D x z_x + E y z_y + F z.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConstraintViolated
 from .indicial import DEFAULT_TOL, indicial_of
 
 
-@dataclass(frozen=True)
-class EulerPDE:
-    A: complex
-    B: complex
-    C: complex
-    D: complex
-    E: complex
-    F: complex
+class EulerPDE(namedtuple("EulerPDE", "A B C D E F")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if all(complex(v) == 0 for v in self.coefficients()):
+    def __new__(cls, A, B, C, D, E, F):
+        if all(complex(v) == 0 for v in (A, B, C, D, E, F)):
             raise ValueError("Euler PDE needs at least one nonzero coefficient")
+        return super().__new__(cls, A, B, C, D, E, F)
 
     def coefficients(self):
-        return (self.A, self.B, self.C, self.D, self.E, self.F)
+        return tuple(self)
 
     def conic(self):
         return indicial_of(self)
@@ -65,7 +60,7 @@ def euler_coords(pde, direction):
     direction "to_euler" is the inverse.  Accepts an EulerPDE or a six-tuple and
     returns a six-tuple.
     """
-    coeffs = pde.coefficients() if isinstance(pde, EulerPDE) else tuple(pde)
+    coeffs = tuple(pde)
     if len(coeffs) != 6:
         raise ValueError("expected six coefficients")
     A, B, C, D, E, F = coeffs
@@ -81,12 +76,10 @@ def euler_coords(pde, direction):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeLine:
+class LatticeLine(namedtuple("LatticeLine", "base direction")):
     """Integer points base + t * direction, t in Z."""
 
-    base: tuple
-    direction: tuple
+    __slots__ = ()
 
     def point(self, t):
         return (self.base[0] + t * self.direction[0], self.base[1] + t * self.direction[1])
@@ -95,12 +88,12 @@ class LatticeLine:
         return {"base": list(self.base), "direction": list(self.direction)}
 
 
-@dataclass(frozen=True)
-class IntegerPointFamily:
-    family: str
-    conic: tuple  # six integers (A', B', C', D', E', F') the points satisfy
-    points: tuple  # isolated integer points
-    lines: tuple  # LatticeLine instances
+class IntegerPointFamily(namedtuple("IntegerPointFamily", "family conic points lines")):
+    """conic: six integers (A', B', C', D', E', F') the points satisfy
+    points: isolated integer points
+    lines: LatticeLine instances"""
+
+    __slots__ = ()
 
     def all_points(self, span=3):
         out = list(self.points)

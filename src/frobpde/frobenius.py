@@ -10,7 +10,7 @@ are solved on the PDE times their common denominator q, q(0, 0) = 1.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
 from .errors import ResonantPoint, ZeroConstantTerm
@@ -18,18 +18,16 @@ from .indicial import DEFAULT_TOL, indicial_of, resonance_scan
 from .multiseries import CSeries2, _power, cauchy_mul, index_key, layer_sweep
 
 
-@dataclass(frozen=True)
-class RegularSingularPDE:
-    A: complex
-    B: complex
-    C: complex
-    a: CSeries2
-    b: CSeries2
-    c: CSeries2
+class RegularSingularPDE(namedtuple("RegularSingularPDE", "A B C a b c")):
+    """A, B, C: complex leading coefficients
+    a, b, c: CSeries2 of one truncation order"""
 
-    def __post_init__(self):
-        if not (self.a.order == self.b.order == self.c.order):
+    __slots__ = ()
+
+    def __new__(cls, A, B, C, a, b, c):
+        if not (a.order == b.order == c.order):
             raise ValueError("a, b, c must share one truncation order")
+        return super().__new__(cls, A, B, C, a, b, c)
 
     @property
     def order(self):
@@ -51,12 +49,13 @@ class RegularSingularPDE:
         return (reduce(cauchy_mul, dens, CSeries2.one(self.order)), *polys)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    parabolic_real_type: bool
-    elliptic_condition: bool
-    hyperbolic_condition: bool
-    general_sufficient: bool
+class ConvergenceReport(
+    namedtuple(
+        "ConvergenceReport",
+        "parabolic_real_type elliptic_condition hyperbolic_condition general_sufficient",
+    )
+):
+    __slots__ = ()
 
     @property
     def any(self):
@@ -68,13 +67,7 @@ class ConvergenceReport:
         )
 
     def to_json(self):
-        return {
-            "parabolic_real_type": self.parabolic_real_type,
-            "elliptic_condition": self.elliptic_condition,
-            "hyperbolic_condition": self.hyperbolic_condition,
-            "general_sufficient": self.general_sufficient,
-            "any": self.any,
-        }
+        return {**self._asdict(), "any": self.any}
 
 
 def convergence_report(A, B, C, tol=DEFAULT_TOL):

@@ -2,7 +2,7 @@
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import BasePointNotOnConic, ComplexCoefficients, NoSolution
 
@@ -21,16 +21,10 @@ _SHORT_ROW = 10
 ALL_SOLUTIONS = object()
 
 
-@dataclass(frozen=True)
-class IndicialConic:
+class IndicialConic(namedtuple("IndicialConic", "cA cB cC cD cE cF")):
     """P(r, s) = cA r^2 + cB rs + cC s^2 + cD r + cE s + cF."""
 
-    cA: complex
-    cB: complex
-    cC: complex
-    cD: complex
-    cE: complex
-    cF: complex
+    __slots__ = ()
 
     def evaluate(self, r, s):
         return (
@@ -43,7 +37,7 @@ class IndicialConic:
         )
 
     def coefficients(self):
-        return (self.cA, self.cB, self.cC, self.cD, self.cE, self.cF)
+        return tuple(self)
 
     @staticmethod
     def from_euler(A, B, C, D, E, F):
@@ -54,10 +48,7 @@ class IndicialConic:
         )
 
     def to_json(self):
-        return {
-            name: [getattr(self, name).real, getattr(self, name).imag]
-            for name in ("cA", "cB", "cC", "cD", "cE", "cF")
-        }
+        return {name: [z.real, z.imag] for name, z in zip(self._fields, self)}
 
 
 def indicial_of(pde):
@@ -76,18 +67,14 @@ def indicial_of(pde):
     return IndicialConic(A, B, C, a0 - A, b0 - C, c0)
 
 
-@dataclass(frozen=True)
-class ConicClass:
-    discriminant_class: str  # elliptic | parabolic | hyperbolic
-    degenerate: bool
-    degenerate_kind: str  # none | two_crossing_lines | parallel_or_repeated_lines
+class ConicClass(namedtuple("ConicClass", "discriminant_class degenerate degenerate_kind")):
+    """discriminant_class: elliptic | parabolic | hyperbolic
+    degenerate_kind: none | two_crossing_lines | parallel_or_repeated_lines"""
+
+    __slots__ = ()
 
     def to_json(self):
-        return {
-            "discriminant_class": self.discriminant_class,
-            "degenerate": self.degenerate,
-            "degenerate_kind": self.degenerate_kind,
-        }
+        return self._asdict()
 
 
 def classify(conic, tol=DEFAULT_TOL):
@@ -154,13 +141,12 @@ def solve_for_s(conic, r):
     return [s2, s1] if (s2.real, s2.imag) < (s1.real, s1.imag) else [s1, s2]
 
 
-@dataclass(frozen=True)
-class ResonanceReport:
-    r0: complex
-    s0: complex
-    bound: int
-    hits: tuple  # ((q1, q2), |P(r0+q1, s0+q2)|) pairs in canonical order
-    nonresonant_up_to: int = field(default=0)
+class ResonanceReport(
+    namedtuple("ResonanceReport", "r0 s0 bound hits nonresonant_up_to", defaults=(0,))
+):
+    """hits: ((q1, q2), |P(r0+q1, s0+q2)|) pairs in canonical order"""
+
+    __slots__ = ()
 
     def hit_indices(self):
         return [Q for Q, _ in self.hits]

@@ -10,7 +10,7 @@ layer N exactly when L[z] does.
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import OutsideEstimatedDomain
 from .frobenius import radius_estimate
@@ -56,11 +56,10 @@ def apply_operator(pde, r0, s0, coeffs):
     return CSeries2(M, out).coeffs
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    max_residual: float
-    per_layer: dict  # layer norm -> max |residual coefficient|
-    checked_up_to: int
+class ResidualReport(namedtuple("ResidualReport", "max_residual per_layer checked_up_to")):
+    """per_layer: layer norm -> max |residual coefficient|"""
+
+    __slots__ = ()
 
     def to_json(self):
         return {

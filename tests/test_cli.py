@@ -1,4 +1,5 @@
 import json
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -157,7 +158,9 @@ class TestSolveOutput:
         main(["solve", write(tmp_path, BESSEL), "--meta"])
         out1 = capsys.readouterr()
         assert "timestamp" not in out1.out
-        assert "timestamp" in out1.err
+        meta = json.loads(out1.err)
+        assert datetime.fromisoformat(meta["timestamp"]).utcoffset() == timedelta(0)
+        assert meta["tool"] == "frobpde"
 
     def test_auto_point(self, tmp_path, capsys):
         payload = dict(BESSEL, point="auto")

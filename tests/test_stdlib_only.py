@@ -2,6 +2,8 @@
 a standard-library module."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +24,16 @@ def absolute_imports(path):
 def test_imports_are_stdlib(path):
     foreign = [name for name in absolute_imports(path) if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_cli_import_loads_no_heavy_module():
+    """`import frobpde.cli` is what every CLI call pays for first: it must not
+    pull in dataclasses, inspect, datetime or typing."""
+    code = (
+        "import sys; before = set(sys.modules); import frobpde.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    new = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout.split()
+    assert "frobpde.cli" in new
+    assert {"dataclasses", "inspect", "datetime", "typing"}.isdisjoint(new)
