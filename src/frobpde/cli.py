@@ -244,7 +244,7 @@ def _resolve_point(spec, pde):
 def _cmd_classify(args):
     spec = load_problem(args.problem)
     conic = _pde_of(spec).conic()
-    result = classify(conic, spec.tol)
+    result = classify(conic)  # the problem's tol is a resonance tolerance
     _emit_json({"conic": conic.to_json(), "class": result.to_json()})
 
 

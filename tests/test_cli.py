@@ -170,6 +170,15 @@ class TestSolveOutput:
 
 
 class TestOtherSubcommands:
+    def test_classify_ignores_the_resonance_tol(self, tmp_path, capsys):
+        circle = dict(BESSEL, B=0, c="-25", point=[5, 0], order=12)  # r^2 + s^2 = 25
+        classes = []
+        for payload in (circle, dict(circle, tolerances={"tol": 30})):
+            assert main(["classify", write(tmp_path, payload)]) == 0
+            classes.append(json.loads(capsys.readouterr().out)["class"])
+        assert classes[0] == classes[1] == {
+            "discriminant_class": "elliptic", "degenerate": False, "degenerate_kind": "none"}
+
     def test_scan_resonance(self, tmp_path, capsys):
         assert main(["scan-resonance", write(tmp_path, HEAT)]) == 0
         payload = json.loads(capsys.readouterr().out)
