@@ -20,6 +20,10 @@ class EulerPDE(namedtuple("EulerPDE", "A B C D E F")):
             raise ValueError("Euler PDE needs at least one nonzero coefficient")
         return super().__new__(cls, A, B, C, D, E, F)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace too: check like the constructor
+        return cls(*iterable)
+
     def coefficients(self):
         return tuple(self)
 

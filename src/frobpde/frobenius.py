@@ -29,6 +29,10 @@ class RegularSingularPDE(namedtuple("RegularSingularPDE", "A B C a b c")):
             raise ValueError("a, b, c must share one truncation order")
         return super().__new__(cls, A, B, C, a, b, c)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace too: check like the constructor
+        return cls(*iterable)
+
     @property
     def order(self):
         return self.a.order

@@ -42,6 +42,14 @@ def test_all_zero_euler_pde_is_refused():
         EulerPDE(0, 0j, 0.0, 0, 0, 0)
 
 
+def test_replace_checks_like_the_constructor():
+    pde = RegularSingularPDE(1, 0, 1, series("1"), series("1"), series("1"))
+    with pytest.raises(ValueError, match="one truncation order"):
+        pde._replace(b=series("1", 5))
+    with pytest.raises(ValueError, match="at least one nonzero coefficient"):
+        EulerPDE(1, 0, 0, 0, 0, 0)._replace(A=0)
+
+
 @pytest.mark.parametrize("record, name", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
 def test_fields_cannot_be_set(record, name):
     with pytest.raises(AttributeError):
