@@ -1,5 +1,5 @@
 """The runtime stays stdlib-only: every absolute import in the package names
-a standard-library module."""
+a standard-library module.  Importing the CLI stays light."""
 
 import ast
 import os
@@ -33,7 +33,9 @@ def test_cli_import_loads_no_heavy_module():
         "import sys; before = set(sys.modules); import frobpde.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    new = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout.split()
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          check=True, capture_output=True, text=True, timeout=60)
+    new = proc.stdout.split()
     assert "frobpde.cli" in new
     assert {"dataclasses", "inspect", "datetime", "typing"}.isdisjoint(new)
