@@ -36,7 +36,6 @@ from .indicial import (
     IndicialConic,
     ResonanceReport,
     classify,
-    indicial_of,
     resonance_scan,
     solve_for_s,
 )

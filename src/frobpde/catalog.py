@@ -146,13 +146,6 @@ class CatalogEntry(namedtuple("CatalogEntry", "name params normalized")):
     def param(self, key):
         return dict(self.params)[key]
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "params": {k: [v.real, v.imag] for k, v in self.params},
-            "normalized": self.normalized,
-        }
-
 
 def entry(name, **params):
     """Build a CatalogEntry, validating its parameter set."""

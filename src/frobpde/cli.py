@@ -13,8 +13,6 @@ record to stderr, keeping stdout byte-identical for identical inputs.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 from collections import namedtuple
@@ -25,13 +23,10 @@ from .errors import (
     BasePointNotOnConic,
     ComplexCoefficients,
     ConstraintViolated,
-    ExprSyntaxError,
     FrobPDEError,
-    MissingParameter,
     NoSolution,
     ResonantPoint,
     SchemaError,
-    UnboundParameter,
 )
 from .euler import EulerPDE, euler_coords, integral_points
 from .expr_parser import parse_expr, to_series
@@ -46,19 +41,11 @@ _REFUSALS = (
     ComplexCoefficients,
     ConstraintViolated,
 )
-_INPUT_ERRORS = (
-    SchemaError,
-    ExprSyntaxError,
-    UnboundParameter,
-    MissingParameter,
-    OSError,
-    json.JSONDecodeError,
-    ValueError,
-)
 
 
 # ---------------------------------------------------------------------------
-# Deterministic JSON emission with 17 significant digits
+# Deterministic JSON emission with 17 significant digits: a complex number
+# is written as [re, im] and a record as an object of its fields
 # ---------------------------------------------------------------------------
 
 
@@ -81,6 +68,10 @@ def _dump(obj):
         return json.dumps(obj)
     if isinstance(obj, (bool, int, float)):
         return _fmt_num(obj)
+    if isinstance(obj, complex):
+        return _dump((obj.real, obj.imag))
+    if hasattr(obj, "_asdict"):
+        return _dump(obj._asdict())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dump(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -93,12 +84,34 @@ def _emit_json(obj):
 
 
 def _emit_csv(header, rows):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
-    sys.stdout.write(out.getvalue())
+    """Numbers and fixed headers only, so no field needs quoting."""
+    lines = [header] + [[format(v, ".17g") if isinstance(v, float) else str(v) for v in row]
+                        for row in rows]
+    sys.stdout.write("".join(",".join(line) + "\n" for line in lines))
+
+
+def _rows(series):
+    """Coefficient rows [q1, q2, re, im] in canonical order."""
+    return [[q1, q2, v.real, v.imag] for (q1, q2), v in series.items()]
+
+
+def _scan_json(report):
+    """A resonance report with its hits flat, as [q1, q2, |P|]."""
+    return {**report._asdict(), "hits": [[q1, q2, mag] for (q1, q2), mag in report.hits]}
+
+
+def _solution_json(sol):
+    """Exponents, order, coefficient rows, resonance report, and the
+    convergence report with its member "any"."""
+    convergence = sol.convergence
+    return {
+        "r0": sol.r0,
+        "s0": sol.s0,
+        "order": sol.order,
+        "coeffs": _rows(sol),
+        "resonance": _scan_json(sol.resonance_certificate),
+        "convergence": {**convergence._asdict(), "any": convergence.any},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -113,26 +126,32 @@ class ProblemSpec(namedtuple("ProblemSpec", "A B C a b c params point order tol"
     __slots__ = ()
 
 
-def _complex_member(value, pointer):
-    if isinstance(value, bool):
-        raise SchemaError("expected a number or [re, im] pair", pointer)
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise SchemaError("expected a number or [re, im] pair", pointer)
-
-
-_TOP_KEYS = {"A", "B", "C", "a", "b", "c", "params", "point", "order", "tolerances"}
+def _is_finite(value):
+    """A real number in the float range (json reads NaN, Infinity and
+    integers of any size)."""
+    return -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _is_tol(value):
-    """A tolerance is a positive finite number (json reads NaN and Infinity)."""
-    return 0 < value <= sys.float_info.max
+    """A tolerance is a positive finite number."""
+    return value > 0 and _is_finite(value)
+
+
+def _finite(z, pointer):
+    """The complex number z, refused at pointer unless both parts are finite."""
+    if not (_is_finite(z.real) and _is_finite(z.imag)):
+        raise SchemaError("expected a finite number", pointer)
+    return z
+
+
+def _complex_member(value, pointer):
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and _is_finite(v) for v in parts):
+        raise SchemaError("expected a finite number or [re, im] pair", pointer)
+    return complex(*parts)
+
+
+_TOP_KEYS = {"A", "B", "C", "a", "b", "c", "params", "point", "order", "tolerances"}
 
 
 def load_problem(path):
@@ -245,7 +264,7 @@ def _cmd_classify(args):
     spec = load_problem(args.problem)
     conic = _pde_of(spec).conic()
     result = classify(conic)  # the problem's tol is a resonance tolerance
-    _emit_json({"conic": conic.to_json(), "class": result.to_json()})
+    _emit_json({"conic": conic, "class": result})
 
 
 def _solved(args):
@@ -258,9 +277,9 @@ def _solved(args):
 
 def _emit_solution(sol, fmt):
     if fmt == "csv":
-        _emit_csv(("q1", "q2", "re", "im"), sol.to_json_array())
+        _emit_csv(("q1", "q2", "re", "im"), _rows(sol))
     else:
-        _emit_json(sol.to_json())
+        _emit_json(_solution_json(sol))
 
 
 def _cmd_solve(args):
@@ -275,29 +294,21 @@ def _cmd_scan(args):
     if args.format == "csv":
         _emit_csv(("q1", "q2", "magnitude"), [(q1, q2, m) for (q1, q2), m in report.hits])
     else:
-        _emit_json(report.to_json())
+        _emit_json(_scan_json(report))
 
 
 def _cmd_verify(args):
     report = residual_max(*_solved(args))
     if args.format == "csv":
-        rows = [(n, v) for n, v in sorted(report.per_layer.items())]
-        _emit_csv(("layer", "max_abs_residual"), rows)
+        _emit_csv(("layer", "max_abs_residual"), sorted(report.per_layer.items()))
     else:
-        _emit_json({"residual": report.to_json()})
+        _emit_json({"residual": report})
 
 
 def _cmd_radius(args):
     sol = _solved(args)[1]
     estimate = radius_estimate(sol)
-    _emit_json(
-        {
-            "r0": [sol.r0.real, sol.r0.imag],
-            "s0": [sol.s0.real, sol.s0.imag],
-            "order": sol.order,
-            "radius_estimate": estimate,
-        }
-    )
+    _emit_json({"r0": sol.r0, "s0": sol.s0, "order": sol.order, "radius_estimate": estimate})
 
 
 def _is_integral(z):
@@ -307,10 +318,10 @@ def _is_integral(z):
 def _cmd_euler(args):
     if not _is_tol(args.tol):
         raise SchemaError("tol must be a positive finite number", "--tol")
-    coeffs = [complex(v) for v in (args.A, args.B, args.C, args.D, args.E, args.F)]
+    coeffs = [_finite(complex(getattr(args, name)), name) for name in "ABCDEF"]
     pde = EulerPDE(*coeffs)
     conic = pde.conic()
-    payload = {"conic": conic.to_json(), "class": classify(conic, args.tol).to_json()}
+    payload = {"conic": conic, "class": classify(conic, args.tol)}
 
     samples = []
     for r, roots in _r_candidates(conic, 9):
@@ -329,7 +340,7 @@ def _cmd_euler(args):
             ("hyperbolic", {"A": iA, "B": iB}),
         ):
             try:
-                families[family] = integral_points(family, **kwargs).to_json()
+                families[family] = integral_points(family, **kwargs)
             except ConstraintViolated:
                 pass
     payload["integral_point_families"] = families
@@ -345,9 +356,10 @@ def _parse_param(text):
         raise SchemaError(f"--param needs name=value, got {text!r}", "/params")
     name, _, value = text.partition("=")
     try:
-        return name, complex(value)
+        z = complex(value)
     except ValueError:
         raise SchemaError(f"cannot parse parameter value {value!r}", f"/params/{name}") from None
+    return name, _finite(z, f"/params/{name}")
 
 
 def _cmd_catalog_solve(args):
@@ -359,7 +371,7 @@ def _cmd_catalog_solve(args):
         parts = args.point.split(",")
         if len(parts) != 2:
             raise SchemaError('--point needs "r,s" or "auto"', "/point")
-        r0, s0 = (complex(p) for p in parts)
+        r0, s0 = (_finite(complex(p), f"/point/{i}") for i, p in enumerate(parts))
     _emit_solution(catalog_mod.solve_entry(ent, r0, s0, args.order), args.format)
 
 
@@ -367,9 +379,9 @@ def _cmd_transform(args):
     if args.what == "euler-coordinates":
         if len(args.values) != 6:
             raise SchemaError("euler-coordinates needs six coefficients A B C D E F", "")
-        coeffs = [complex(v) for v in args.values]
-        out = euler_coords(tuple(coeffs), args.direction)
-        _emit_json({"direction": args.direction, "coefficients": [[z.real, z.imag] for z in out]})
+        coeffs = [_finite(complex(v), name) for name, v in zip("ABCDEF", args.values)]
+        out = euler_coords(coeffs, args.direction)
+        _emit_json({"direction": args.direction, "coefficients": out})
         return
     # prepare-coordinates
     if args.A is None or args.C is None:
@@ -377,7 +389,7 @@ def _cmd_transform(args):
     A_series = to_series(parse_expr(args.A), {}, args.order)
     C_series = to_series(parse_expr(args.C), {}, args.order)  # written in y
     f, g = prepare_coordinates(A_series, C_series)
-    _emit_json({"f": f.to_json_array(), "g": g.to_json_array()})
+    _emit_json({"f": _rows(f), "g": _rows(g)})
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +489,7 @@ def main(argv=None):
     except _REFUSALS as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FrobPDEError as exc:
+    except (FrobPDEError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if getattr(args, "meta", False):

@@ -9,7 +9,7 @@ import math
 from collections import namedtuple
 
 from .errors import ConstraintViolated
-from .indicial import DEFAULT_TOL, indicial_of
+from .indicial import DEFAULT_TOL, IndicialConic
 
 
 class EulerPDE(namedtuple("EulerPDE", "A B C D E F")):
@@ -28,7 +28,7 @@ class EulerPDE(namedtuple("EulerPDE", "A B C D E F")):
         return tuple(self)
 
     def conic(self):
-        return indicial_of(self)
+        return IndicialConic.from_euler(*self)
 
 
 def monomial_check(pde, r, s, tol=DEFAULT_TOL):
@@ -88,9 +88,6 @@ class LatticeLine(namedtuple("LatticeLine", "base direction")):
     def point(self, t):
         return (self.base[0] + t * self.direction[0], self.base[1] + t * self.direction[1])
 
-    def to_json(self):
-        return {"base": list(self.base), "direction": list(self.direction)}
-
 
 class IntegerPointFamily(namedtuple("IntegerPointFamily", "family conic points lines")):
     """conic: six integers (A', B', C', D', E', F') the points satisfy
@@ -104,14 +101,6 @@ class IntegerPointFamily(namedtuple("IntegerPointFamily", "family conic points l
         for line in self.lines:
             out.extend(line.point(t) for t in range(-span, span + 1))
         return out
-
-    def to_json(self):
-        return {
-            "family": self.family,
-            "conic": list(self.conic),
-            "points": [list(p) for p in self.points],
-            "lines": [line.to_json() for line in self.lines],
-        }
 
 
 def _ext_gcd(a, b):

@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import reduce
 
 from .errors import ResonantPoint, ZeroConstantTerm
-from .indicial import DEFAULT_TOL, indicial_of, resonance_scan
+from .indicial import DEFAULT_TOL, IndicialConic, resonance_scan
 from .multiseries import CSeries2, _power, cauchy_mul, index_key, layer_sweep
 
 
@@ -38,7 +38,8 @@ class RegularSingularPDE(namedtuple("RegularSingularPDE", "A B C a b c")):
         return self.a.order
 
     def conic(self):
-        return indicial_of(self)
+        a0, b0, c0 = self.a.constant_term(), self.b.constant_term(), self.c.constant_term()
+        return IndicialConic.from_euler(self.A, self.B, self.C, a0, b0, c0)
 
     def cleared(self):
         """(q, q a, q b, q c): q the product of the distinct denominators in
@@ -69,9 +70,6 @@ class ConvergenceReport(
             or self.hyperbolic_condition
             or self.general_sufficient
         )
-
-    def to_json(self):
-        return {**self._asdict(), "any": self.any}
 
 
 def convergence_report(A, B, C, tol=DEFAULT_TOL):
@@ -116,18 +114,6 @@ class FrobeniusSolution(CSeries2):
         object.__setattr__(self, "resonance_certificate", resonance_certificate)
         object.__setattr__(self, "convergence", convergence)
 
-    def to_json(self):
-        out = {
-            "r0": [self.r0.real, self.r0.imag],
-            "s0": [self.s0.real, self.s0.imag],
-            "order": self.order,
-            "coeffs": self.to_json_array(),
-            "resonance": self.resonance_certificate.to_json(),
-        }
-        if self.convergence is not None:
-            out["convergence"] = self.convergence.to_json()
-        return out
-
 
 def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     """Run the Frobenius recurrence up to order N at a conic point (r0, s0).
@@ -158,7 +144,7 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
         raise ValueError(f"unknown resonance policy {resonance_policy!r}")
     r0 = complex(r0)
     s0 = complex(s0)
-    conic = indicial_of(pde)
+    conic = pde.conic()
     certificate = resonance_scan(conic, r0, s0, N, tol)
     hit_set = set(certificate.hit_indices())
     if hit_set and resonance_policy == "strict":

@@ -41,30 +41,12 @@ class IndicialConic(namedtuple("IndicialConic", "cA cB cC cD cE cF")):
 
     @staticmethod
     def from_euler(A, B, C, D, E, F):
-        """Conic of an Euler PDE: same quadratic part, D-A and E-C linear part."""
+        """Conic of an Euler PDE: same quadratic part, D-A and E-C linear part.
+        The Def. 6.1 shape gives its conic with D, E, F = a(0,0), b(0,0), c(0,0)."""
         return IndicialConic(
             complex(A), complex(B), complex(C),
             complex(D) - complex(A), complex(E) - complex(C), complex(F),
         )
-
-    def to_json(self):
-        return {name: [z.real, z.imag] for name, z in zip(self._fields, self)}
-
-
-def indicial_of(pde):
-    """Indicial conic of a regular-singular or Euler PDE.
-
-    For the Def. 6.1 shape the linear part is (a(0,0)-A, b(0,0)-C) and the
-    constant is c(0,0); an Euler PDE (constant a=D, b=E, c=F) reduces to the
-    classical (D-A) r + (E-C) s + F form.
-    """
-    if hasattr(pde, "D"):  # Euler PDE with scalar D, E, F
-        return IndicialConic.from_euler(pde.A, pde.B, pde.C, pde.D, pde.E, pde.F)
-    a0 = pde.a.constant_term()
-    b0 = pde.b.constant_term()
-    c0 = pde.c.constant_term()
-    A, B, C = complex(pde.A), complex(pde.B), complex(pde.C)
-    return IndicialConic(A, B, C, a0 - A, b0 - C, c0)
 
 
 class ConicClass(namedtuple("ConicClass", "discriminant_class degenerate degenerate_kind")):
@@ -72,9 +54,6 @@ class ConicClass(namedtuple("ConicClass", "discriminant_class degenerate degener
     degenerate_kind: none | two_crossing_lines | parallel_or_repeated_lines"""
 
     __slots__ = ()
-
-    def to_json(self):
-        return self._asdict()
 
 
 def classify(conic, tol=DEFAULT_TOL):
@@ -151,15 +130,6 @@ class ResonanceReport(
     def hit_indices(self):
         return [Q for Q, _ in self.hits]
 
-    def to_json(self):
-        return {
-            "r0": [self.r0.real, self.r0.imag],
-            "s0": [self.s0.real, self.s0.imag],
-            "bound": self.bound,
-            "hits": [[q1, q2, mag] for (q1, q2), mag in self.hits],
-            "nonresonant_up_to": self.nonresonant_up_to,
-        }
-
 
 def resonance_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
     """Scan all shifts Q in N^2 \\ {0} with |Q| <= N for conic returns.
@@ -187,7 +157,7 @@ def resonance_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
     r0 = complex(r0)
     s0 = complex(s0)
     base = conic.evaluate(r0, s0)
-    if abs(base) >= tol:
+    if not abs(base) < tol:  # a NaN point is not on the conic
         raise BasePointNotOnConic(
             f"({r0}, {s0}) is not on the conic: |P| = {abs(base):.3e} >= {tol:.3e}"
         )

@@ -155,13 +155,6 @@ class CSeries2:
             total += v * (x ** q1) * (y ** q2)
         return total
 
-    def to_json_array(self):
-        return [[q1, q2, v.real, v.imag] for (q1, q2), v in self.items()]
-
-    @staticmethod
-    def from_json_array(data, order):
-        return CSeries2(order, {(q1, q2): complex(re, im) for q1, q2, re, im in data})
-
 
 def cauchy_mul(f, g):
     """Full convolution product, truncated at min(order(f), order(g))."""

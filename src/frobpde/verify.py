@@ -61,13 +61,6 @@ class ResidualReport(namedtuple("ResidualReport", "max_residual per_layer checke
 
     __slots__ = ()
 
-    def to_json(self):
-        return {
-            "max_residual": self.max_residual,
-            "per_layer": {str(n): v for n, v in sorted(self.per_layer.items())},
-            "checked_up_to": self.checked_up_to,
-        }
-
 
 def residual_max(pde, solution):
     """Residual report of a FrobeniusSolution over every layer up to its order.

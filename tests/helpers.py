@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from frobpde.errors import BasePointNotOnConic, ResonantPoint
 from frobpde.frobenius import FrobeniusSolution, convergence_report
-from frobpde.indicial import DEFAULT_TOL, ResonanceReport, indicial_of
+from frobpde.indicial import DEFAULT_TOL, ResonanceReport
 from frobpde.multiseries import CSeries2, cauchy_mul, index_key, norm, reciprocal
 
 #: every catalog model, with the parameters the tests solve it at
@@ -93,7 +93,7 @@ def reference_solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     table (zeros included)."""
     r0 = complex(r0)
     s0 = complex(s0)
-    conic = indicial_of(pde)
+    conic = pde.conic()
     certificate = reference_scan(conic, r0, s0, N, tol)
     hit_set = set(certificate.hit_indices())
     if hit_set and resonance_policy == "strict":

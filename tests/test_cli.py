@@ -74,6 +74,18 @@ class TestLoadProblem:
             load_problem(write(tmp_path, dict(BESSEL, tolerances={"tol": tol})))
         assert info.value.pointer == "/tolerances/tol"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), [0, float("-inf")], 10**400],
+                             ids=["nan", "inf", "pair-with--inf", "int-10^400"])
+    @pytest.mark.parametrize("pointer", ["/A", "/C", "/params/nu", "/point/0", "/point/1"])
+    def test_numbers_must_be_finite(self, tmp_path, pointer, value):
+        members = {"/A": {"A": value}, "/C": {"C": value}, "/params/nu": {"params": {"nu": value}},
+                   "/point/0": {"point": [value, 0]}, "/point/1": {"point": [0, value]}}
+        payload = dict(BESSEL, c="x^2 - nu^2", params={"nu": 0})
+        payload.update(members[pointer])
+        with pytest.raises(SchemaError, match="expected a finite number") as info:
+            load_problem(write(tmp_path, payload))
+        assert info.value.pointer == pointer
+
 
 OFF_CONIC = dict(BESSEL, B=0, c="-x^2-y^2", point=[3, 0.5], order=6)  # P(3, 0.5) = 9.25
 
@@ -114,6 +126,32 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: tol must be a positive finite number (at --tol)\n"
+
+    @pytest.mark.parametrize("command, member, value", [
+        ("scan-resonance", "point", [float("nan"), 0]),
+        ("classify", "A", float("nan")),
+        ("classify", "A", 10**400),
+    ], ids=["point-nan", "A-nan", "A-int-10^400"])
+    def test_nonfinite_member_refused(self, tmp_path, capsys, command, member, value):
+        assert main([command, write(tmp_path, dict(BESSEL, **{member: value}))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        pointer = "/point/0" if member == "point" else "/A"
+        assert captured.err == f"error: expected a finite number or [re, im] pair (at {pointer})\n"
+
+    @pytest.mark.parametrize("argv, pointer", [
+        (["euler", "inf", "0", "1", "0", "0", "0"], "A"),
+        (["euler", "1", "0", "1", "0", "0", "nan"], "F"),
+        (["transform", "euler-coordinates", "1", "0", "1", "inf", "0", "0"], "D"),
+        (["catalog", "solve", "bessel_I", "--param", "nu=nan"], "/params/nu"),
+        (["catalog", "solve", "bessel_I", "--param", "nu=1e400"], "/params/nu"),
+        (["catalog", "solve", "bessel_I", "--param", "nu=0", "--point", "0,infj"], "/point/1"),
+    ], ids=["euler-A-inf", "euler-F-nan", "transform-D-inf", "param-nan", "param-1e400", "point-infj"])
+    def test_nonfinite_argument_refused(self, capsys, argv, pointer):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: expected a finite number (at {pointer})\n"
 
     def test_usage_error(self, capsys):
         assert main(["solve"]) == 1

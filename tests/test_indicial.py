@@ -1,7 +1,11 @@
+import json
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobpde.cli import _dump, _scan_json
 from frobpde.errors import BasePointNotOnConic, ComplexCoefficients, NoSolution
 from frobpde.expr_parser import parse_expr, to_series
 from frobpde.frobenius import RegularSingularPDE, solve
@@ -9,7 +13,6 @@ from frobpde.indicial import (
     ALL_SOLUTIONS,
     IndicialConic,
     classify,
-    indicial_of,
     resonance_scan,
     solve_for_s,
 )
@@ -21,7 +24,7 @@ def conic(cA, cB, cC, cD, cE, cF):
 
 def pde_conic(A, B, C, a, b, c, params=None, order=6):
     series = [to_series(parse_expr(t), params or {}, order) for t in (a, b, c)]
-    return indicial_of(RegularSingularPDE(A, B, C, *series))
+    return RegularSingularPDE(A, B, C, *series).conic()
 
 
 class TestConstruction:
@@ -46,7 +49,7 @@ class TestConstruction:
         assert p.evaluate(2, 1) == 3
 
     def test_to_json_stable(self):
-        assert conic(1, 2, 3, 4, 5, 6).to_json() == {
+        assert json.loads(_dump(conic(1, 2, 3, 4, 5, 6))) == {
             "cA": [1.0, 0.0],
             "cB": [2.0, 0.0],
             "cC": [3.0, 0.0],
@@ -171,6 +174,13 @@ class TestResonanceScan:
         with pytest.raises(ValueError, match="tolerance must be a number >= 0"):
             solve(RegularSingularPDE(1, 0, 1, a, b, c), 3, 0.5, 6, tol=tol)
 
+    def test_nan_point_is_not_on_the_conic(self):
+        with pytest.raises(BasePointNotOnConic, match="nan"):
+            resonance_scan(conic(1, 0, 0, 0, -1, 0), math.nan, 0, 6)
+        a, b, c = (to_series(parse_expr(t), {}, 6) for t in ("1", "1", "x^2"))
+        with pytest.raises(BasePointNotOnConic):
+            solve(RegularSingularPDE(1, 2, 1, a, b, c), 0, math.nan, 6)
+
     def test_tolerance_zero_and_infinite(self):
         with pytest.raises(BasePointNotOnConic):  # |P| >= 0 everywhere
             resonance_scan(conic(1, 0, 0, 0, -1, 0), 0.5, 0.25, 6, tol=0.0)
@@ -179,6 +189,6 @@ class TestResonanceScan:
 
     def test_json_round(self):
         rep = resonance_scan(conic(1, 0, 0, 0, -1, 0), 0.5, 0.25, 6)
-        data = rep.to_json()
+        data = json.loads(_dump(_scan_json(rep)))
         assert data["bound"] == 6
         assert data["hits"] == [[1, 2, 0.0]]

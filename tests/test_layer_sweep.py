@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from frobpde import catalog
 from frobpde.errors import BasePointNotOnConic, ResonantPoint
 from frobpde.frobenius import RegularSingularPDE, solve
-from frobpde.indicial import IndicialConic, indicial_of, resonance_scan
+from frobpde.indicial import IndicialConic, resonance_scan
 from frobpde.multiseries import CSeries2
 from helpers import CATALOG_MODELS, bits, reference_scan, reference_solve
 
@@ -45,7 +45,7 @@ def test_catalog_models(name, params, N):
     r0, s0 = catalog.default_point(ent)
     got = assert_same(pde, r0, s0, N, catalog.resonance_policy(ent))
     assert got[0][0][0] == (0, 0)  # solved, not refused
-    conic = indicial_of(pde)
+    conic = pde.conic()
     assert scan_bits(resonance_scan(conic, r0, s0, N)) == scan_bits(reference_scan(conic, r0, s0, N))
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobpde.cli import _rows
 from frobpde.errors import ZeroConstantTerm
 from frobpde.multiseries import (
     CSeries2,
@@ -119,9 +120,9 @@ class TestCSeries2:
 
     def test_json_round_trip(self):
         f = series(4, {(0, 0): 1.0, (2, 1): 1 + 2j})
-        data = f.to_json_array()
+        data = _rows(f)
         assert data == [[0, 0, 1.0, 0.0], [2, 1, 1.0, 2.0]]
-        assert CSeries2.from_json_array(data, 4) == f
+        assert CSeries2(4, {(q1, q2): complex(re, im) for q1, q2, re, im in data}) == f
 
 
 class TestReciprocal:

@@ -1,10 +1,13 @@
 """The result and input records: validation on construction, immutability,
-the default of ResonanceReport.nonresonant_up_to and a pinned repr."""
+the default of ResonanceReport.nonresonant_up_to, a pinned repr and the JSON
+form the CLI writes."""
+
+import json
 
 import pytest
 
 from frobpde.catalog import CatalogEntry
-from frobpde.cli import ProblemSpec
+from frobpde.cli import ProblemSpec, _dump
 from frobpde.euler import EulerPDE, IntegerPointFamily, LatticeLine
 from frobpde.expr_parser import parse_expr, to_series
 from frobpde.frobenius import ConvergenceReport, RegularSingularPDE
@@ -62,6 +65,15 @@ def test_repr_names_every_field():
     assert repr(IndicialConic(1 + 0j, 0j, 1, 0, 0, -25)) == (
         "IndicialConic(cA=(1+0j), cB=0j, cC=1, cD=0, cE=0, cF=-25)"
     )
+
+
+#: the library records whose fields hold plain values, not series
+PLAIN = [r for r, _ in RECORDS if not isinstance(r, (RegularSingularPDE, ProblemSpec))]
+
+
+@pytest.mark.parametrize("record", PLAIN, ids=[type(r).__name__ for r in PLAIN])
+def test_cli_writes_a_record_as_an_object_of_its_fields(record):
+    assert list(json.loads(_dump(record))) == list(record._fields)
 
 
 def test_nonresonant_up_to_defaults_to_zero():

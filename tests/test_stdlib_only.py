@@ -28,7 +28,7 @@ def test_imports_are_stdlib(path):
 
 def test_cli_import_loads_no_heavy_module():
     """`import frobpde.cli` is what every CLI call pays for first: it must not
-    pull in dataclasses, inspect, datetime or typing."""
+    pull in dataclasses, inspect, datetime, typing or csv."""
     code = (
         "import sys; before = set(sys.modules); import frobpde.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
@@ -38,4 +38,4 @@ def test_cli_import_loads_no_heavy_module():
                           check=True, capture_output=True, text=True, timeout=60)
     new = proc.stdout.split()
     assert "frobpde.cli" in new
-    assert {"dataclasses", "inspect", "datetime", "typing"}.isdisjoint(new)
+    assert {"dataclasses", "inspect", "datetime", "typing", "csv"}.isdisjoint(new)

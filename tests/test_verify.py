@@ -1,8 +1,10 @@
+import json
 import math
 
 import pytest
 
 from frobpde import catalog
+from frobpde.cli import _dump
 from frobpde.errors import OutsideEstimatedDomain
 from frobpde.expr_parser import parse_expr, to_series
 from frobpde.frobenius import FrobeniusSolution, RegularSingularPDE, solve
@@ -53,7 +55,7 @@ class TestResidualMax:
 
     def test_json(self):
         sol = solve(BESSEL, 0, 0, 12)
-        data = residual_max(BESSEL, sol).to_json()
+        data = json.loads(_dump(residual_max(BESSEL, sol)))
         assert data["checked_up_to"] == 12
         assert "max_residual" in data
 
