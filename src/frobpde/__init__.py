@@ -1,6 +1,7 @@
 """frobpde: Frobenius-type series solutions of second-order linear PDEs with
 regular singularities -- indicial conics, resonance scans, the coefficient
-recurrence, convergence certification, and a catalog of named models."""
+recurrence and convergence certification.  The named models and the
+Euler-type PDEs are imported by module name: `from frobpde import catalog`."""
 
 __version__ = "0.1.0"
 
@@ -39,17 +40,6 @@ from .indicial import (
     resonance_scan,
     solve_for_s,
 )
-from .euler import (
-    ClassicalSolution,
-    EulerPDE,
-    IntegerPointFamily,
-    LatticeLine,
-    classical_solution,
-    euler_coords,
-    integral_points,
-    monomial_check,
-    real_monomial_pair,
-)
 from .frobenius import (
     ConvergenceReport,
     FrobeniusSolution,
@@ -58,16 +48,6 @@ from .frobenius import (
     prepare_coordinates,
     radius_estimate,
     solve,
-)
-from .catalog import (
-    CatalogEntry,
-    closed_form_coeff,
-    default_point,
-    entry,
-    list_entries,
-    make_pde,
-    solve_entry,
-    special_relation_check,
 )
 from .verify import (
     ResidualReport,

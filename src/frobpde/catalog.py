@@ -143,9 +143,6 @@ class CatalogEntry(namedtuple("CatalogEntry", "name params normalized")):
 
     __slots__ = ()
 
-    def param(self, key):
-        return dict(self.params)[key]
-
 
 def entry(name, **params):
     """Build a CatalogEntry, validating its parameter set."""

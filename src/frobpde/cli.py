@@ -10,6 +10,9 @@ point, unsatisfiable constraints).
 Payloads are deterministic: no timestamps, canonical coefficient order, every
 number printed with 17 significant digits.  `--meta` writes a timestamped
 record to stderr, keeping stdout byte-identical for identical inputs.
+
+The handlers of catalog, euler and transform euler-coordinates import
+`catalog` and `euler` themselves, so the other subcommands start without them.
 """
 
 import argparse
@@ -17,7 +20,6 @@ import json
 import sys
 from collections import namedtuple
 
-from . import catalog as catalog_mod
 from . import __version__
 from .errors import (
     BasePointNotOnConic,
@@ -28,7 +30,6 @@ from .errors import (
     ResonantPoint,
     SchemaError,
 )
-from .euler import EulerPDE, euler_coords, integral_points
 from .expr_parser import parse_expr, to_series
 from .frobenius import RegularSingularPDE, prepare_coordinates, radius_estimate, solve
 from .indicial import ALL_SOLUTIONS, DEFAULT_TOL, classify, resonance_scan, solve_for_s
@@ -119,8 +120,8 @@ def _solution_json(sol):
 # ---------------------------------------------------------------------------
 
 
-class ProblemSpec(namedtuple("ProblemSpec", "A B C a b c params point order tol")):
-    """a, b, c: CSeries2
+class ProblemSpec(namedtuple("ProblemSpec", "pde point order tol")):
+    """pde: RegularSingularPDE
     point: "auto" or (complex, complex)"""
 
     __slots__ = ()
@@ -211,11 +212,7 @@ def load_problem(path):
                 raise SchemaError("tol must be a positive finite number", "/tolerances/tol")
             tol = float(value)
 
-    return ProblemSpec(A, B, C, series[0], series[1], series[2], params, point, order, tol)
-
-
-def _pde_of(spec):
-    return RegularSingularPDE(spec.A, spec.B, spec.C, spec.a, spec.b, spec.c)
+    return ProblemSpec(RegularSingularPDE(A, B, C, *series), point, order, tol)
 
 
 def _r_candidates(conic, count):
@@ -231,13 +228,13 @@ def _r_candidates(conic, count):
         yield r, [0j] if roots is ALL_SOLUTIONS else roots
 
 
-def _auto_point(spec, pde):
+def _auto_point(spec):
     """Deterministic nonresonant-point search.
 
     The candidates come from _r_candidates; the first point whose resonance
     scan up to the problem order is clean wins.
     """
-    conic = pde.conic()
+    conic = spec.pde.conic()
     for r, roots in _r_candidates(conic, 81):
         for s in roots:
             try:
@@ -249,9 +246,9 @@ def _auto_point(spec, pde):
     raise NoSolution("auto point search found no nonresonant conic point")
 
 
-def _resolve_point(spec, pde):
+def _resolve_point(spec):
     if spec.point == "auto":
-        return _auto_point(spec, pde)
+        return _auto_point(spec)
     return spec.point
 
 
@@ -261,8 +258,7 @@ def _resolve_point(spec, pde):
 
 
 def _cmd_classify(args):
-    spec = load_problem(args.problem)
-    conic = _pde_of(spec).conic()
+    conic = load_problem(args.problem).pde.conic()
     result = classify(conic)  # the problem's tol is a resonance tolerance
     _emit_json({"conic": conic, "class": result})
 
@@ -270,9 +266,9 @@ def _cmd_classify(args):
 def _solved(args):
     """(pde, solution) for the problem file at its resolved point."""
     spec = load_problem(args.problem)
-    pde = _pde_of(spec)
-    r0, s0 = _resolve_point(spec, pde)
-    return pde, solve(pde, r0, s0, spec.order, tol=spec.tol, resonance_policy=args.resonance_policy)
+    r0, s0 = _resolve_point(spec)
+    return spec.pde, solve(spec.pde, r0, s0, spec.order, tol=spec.tol,
+                           resonance_policy=args.resonance_policy)
 
 
 def _emit_solution(sol, fmt):
@@ -288,9 +284,8 @@ def _cmd_solve(args):
 
 def _cmd_scan(args):
     spec = load_problem(args.problem)
-    pde = _pde_of(spec)
-    r0, s0 = _resolve_point(spec, pde)
-    report = resonance_scan(pde.conic(), r0, s0, spec.order, spec.tol)
+    r0, s0 = _resolve_point(spec)
+    report = resonance_scan(spec.pde.conic(), r0, s0, spec.order, spec.tol)
     if args.format == "csv":
         _emit_csv(("q1", "q2", "magnitude"), [(q1, q2, m) for (q1, q2), m in report.hits])
     else:
@@ -316,6 +311,8 @@ def _is_integral(z):
 
 
 def _cmd_euler(args):
+    from .euler import EulerPDE, integral_points
+
     if not _is_tol(args.tol):
         raise SchemaError("tol must be a positive finite number", "--tol")
     coeffs = [_finite(complex(getattr(args, name)), name) for name in "ABCDEF"]
@@ -348,7 +345,9 @@ def _cmd_euler(args):
 
 
 def _cmd_catalog_list(args):
-    _emit_json(catalog_mod.list_entries())
+    from . import catalog
+
+    _emit_json(catalog.list_entries())
 
 
 def _parse_param(text):
@@ -363,22 +362,26 @@ def _parse_param(text):
 
 
 def _cmd_catalog_solve(args):
+    from . import catalog
+
     params = dict(_parse_param(p) for p in args.param or [])
-    ent = catalog_mod.entry(args.name, **params)
+    ent = catalog.entry(args.name, **params)
     if args.point == "auto":
-        r0, s0 = catalog_mod.default_point(ent)
+        r0, s0 = catalog.default_point(ent)
     else:
         parts = args.point.split(",")
         if len(parts) != 2:
             raise SchemaError('--point needs "r,s" or "auto"', "/point")
         r0, s0 = (_finite(complex(p), f"/point/{i}") for i, p in enumerate(parts))
-    _emit_solution(catalog_mod.solve_entry(ent, r0, s0, args.order), args.format)
+    _emit_solution(catalog.solve_entry(ent, r0, s0, args.order), args.format)
 
 
 def _cmd_transform(args):
     if args.what == "euler-coordinates":
         if len(args.values) != 6:
             raise SchemaError("euler-coordinates needs six coefficients A B C D E F", "")
+        from .euler import euler_coords
+
         coeffs = [_finite(complex(v), name) for name, v in zip("ABCDEF", args.values)]
         out = euler_coords(coeffs, args.direction)
         _emit_json({"direction": args.direction, "coefficients": out})

@@ -24,9 +24,6 @@ class EulerPDE(namedtuple("EulerPDE", "A B C D E F")):
     def _make(cls, iterable):  # _replace too: check like the constructor
         return cls(*iterable)
 
-    def coefficients(self):
-        return tuple(self)
-
     def conic(self):
         return IndicialConic.from_euler(*self)
 

@@ -4,8 +4,8 @@ Grammar: decimal literals, the imaginary unit `i`, variables `x`/`y`,
 identifiers (parameters), `+ - * / ^`, unary minus and parentheses.  `*` may
 be left implicit between a literal or closing paren and a variable/paren,
 e.g. "2x", "lam*(lam+1)x^2", "(1-x)(1+x)".  Precedence, tightest first:
-`^` (right-associative, nonnegative integer exponents) > unary minus >
-`* /` > `+ -`.
+`^` (right-associative, nonnegative integer exponents up to
+_MAX_EXPONENT) > unary minus > `* /` > `+ -`.
 
 ASTs are plain tuples:
     ("num", float) ("i",) ("var", "x"|"y") ("param", name)
@@ -26,6 +26,11 @@ _BP_ADD = 10
 _BP_MUL = 20
 _BP_NEG = 30
 _BP_POW = 40
+
+#: largest exponent, checked before any power is formed: from 2^1024 on a
+#: power of any number of magnitude >= 2 overflows, and to_series forms
+#: f^k as k series products
+_MAX_EXPONENT = 1024
 
 
 class _Token:
@@ -123,13 +128,16 @@ class _Parser:
         if tok.kind != "number":
             _err(self.text, tok.offset, "exponent must be a nonnegative integer literal", {"number"})
         value = float(tok.text)
-        if value != int(value):
-            _err(self.text, tok.offset, "exponent must be a nonnegative integer literal", {"number"})
-        self.advance()
-        value = int(value)
-        if self.peek().kind == "^":  # right-associative exponent tower
+        if value <= _MAX_EXPONENT:
+            if value != int(value):
+                _err(self.text, tok.offset, "exponent must be a nonnegative integer literal", {"number"})
             self.advance()
-            value = value ** self.parse_exponent()
+            value = int(value)
+            if self.peek().kind == "^":  # right-associative exponent tower
+                self.advance()
+                value = value ** self.parse_exponent()  # both at most _MAX_EXPONENT
+        if value > _MAX_EXPONENT:
+            _err(self.text, tok.offset, f"exponent must be at most {_MAX_EXPONENT}", {"number"})
         return value
 
     def parse_prefix(self):

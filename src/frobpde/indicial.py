@@ -61,7 +61,10 @@ def classify(conic, tol=DEFAULT_TOL):
 
     Only real conics are classified; genuinely complex coefficients are
     refused.  The degeneracy test is relative to the maximum coefficient
-    magnitude cubed, so it is invariant under scaling the conic.
+    magnitude cubed, so it is invariant under scaling the conic.  Both tests
+    run on the conic divided by 2^e, the power of two just above that
+    magnitude: the division is exact, and it keeps the squares and cubes in
+    the float range for every finite conic.
     """
     coeffs = conic.coefficients()
     scale = max(abs(z) for z in coeffs)
@@ -69,11 +72,12 @@ def classify(conic, tol=DEFAULT_TOL):
         raise ValueError("all conic coefficients are zero")
     if max(abs(z.imag) for z in coeffs) > tol * max(1.0, scale):
         raise ComplexCoefficients("classification requires real conic coefficients")
-    A, B, C, D, E, F = (z.real for z in coeffs)
+    unit = math.ldexp(1.0, -math.frexp(scale)[1])  # 2^-e, what 1 becomes
+    A, B, C, D, E, F = (z.real * unit for z in coeffs)
 
     disc = B * B - 4.0 * A * C
     quad_scale = max(abs(A), abs(B), abs(C))
-    if abs(disc) <= tol * max(1.0, quad_scale) ** 2:
+    if abs(disc) <= tol * max(unit, quad_scale) ** 2:
         discriminant_class = "parabolic"
         disc_zero = True
     else:
@@ -85,7 +89,7 @@ def classify(conic, tol=DEFAULT_TOL):
         - (B / 2.0) * (B * F / 2.0 - E * D / 4.0)
         + (D / 2.0) * (B * E / 4.0 - C * D / 2.0)
     )
-    degenerate = abs(det3) <= tol * scale ** 3
+    degenerate = abs(det3) <= tol * (scale * unit) ** 3
     if not degenerate:
         kind = "none"
     elif disc_zero:
@@ -100,7 +104,9 @@ def solve_for_s(conic, r):
 
     Returns a list of 0, 1 or 2 roots in a deterministic order, the
     ALL_SOLUTIONS sentinel when the equation degenerates to 0 = 0, and
-    raises NoSolution when it degenerates to a nonzero constant.
+    raises NoSolution when it degenerates to a nonzero constant.  When the
+    discriminant overflows, the row is divided by a power of two near its
+    largest coefficient, which leaves the roots as they are.
     """
     r = complex(r)
     quad = conic.cC
@@ -113,6 +119,11 @@ def solve_for_s(conic, r):
             raise NoSolution(f"P({r}, s) = {const} has no root in s")
         return [-const / lin]
     disc = lin * lin - 4.0 * quad * const
+    if not cmath.isfinite(disc):
+        big = max(abs(x) for z in (quad, lin, const) for x in (z.real, z.imag))
+        unit = math.ldexp(1.0, -math.frexp(big)[1])
+        quad, lin, const = quad * unit, lin * unit, const * unit
+        disc = lin * lin - 4.0 * quad * const
     if disc == 0:
         return [-lin / (2.0 * quad)]
     root = cmath.sqrt(disc)

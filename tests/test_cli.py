@@ -1,4 +1,5 @@
 import json
+import math
 from datetime import datetime, timedelta
 
 import pytest
@@ -29,18 +30,18 @@ HEAT = {
 class TestLoadProblem:
     def test_valid(self, tmp_path):
         spec = load_problem(write(tmp_path, BESSEL))
-        assert spec.A == 1 and spec.order == 10
+        assert spec.pde.A == 1 and spec.order == 10
         assert spec.point == (0j, 0j)
-        assert spec.c.get((2, 0)) == 1.0
+        assert spec.pde.c.get((2, 0)) == 1.0
 
     def test_complex_pairs(self, tmp_path):
         payload = dict(BESSEL, A=[1, 2])
-        assert load_problem(write(tmp_path, payload)).A == 1 + 2j
+        assert load_problem(write(tmp_path, payload)).pde.A == 1 + 2j
 
     def test_params_bound(self, tmp_path):
         payload = dict(BESSEL, c="x^2 - nu^2", params={"nu": 2})
         spec = load_problem(write(tmp_path, payload))
-        assert spec.c.constant_term() == -4.0
+        assert spec.pde.c.constant_term() == -4.0
 
     def test_missing_member(self, tmp_path):
         payload = {k: v for k, v in BESSEL.items() if k != "B"}
@@ -153,6 +154,13 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: expected a finite number (at {pointer})\n"
 
+    @pytest.mark.parametrize("text, column", [("x^2^2^2^2^2", 5), ("x^1e400", 3)])
+    def test_exponent_above_the_cap_refused(self, tmp_path, capsys, text, column):
+        assert main(["classify", write(tmp_path, dict(BESSEL, c=text))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: exponent must be at most 1024 at line 1, column {column}\n"
+
     def test_usage_error(self, capsys):
         assert main(["solve"]) == 1
 
@@ -227,6 +235,24 @@ class TestOtherSubcommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["conic"]["cE"] == [-1, 0]
         assert "parabolic" in payload["integral_point_families"]
+
+    def test_euler_huge_coefficients(self, capsys):
+        # the classification and the monomial exponents used to overflow
+        assert main(["euler", "1e200", "0", "1e200", "0", "0", "1e200"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["class"] == {"discriminant_class": "elliptic", "degenerate": False,
+                                    "degenerate_kind": "none"}
+        exponents = [v for row in payload["monomial_exponents"] for v in row]
+        assert len(exponents) == 16  # a non-finite number would be the string "nan" or "inf"
+        assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in exponents)
+
+    def test_classify_huge_coefficient(self, tmp_path, capsys):
+        # relative to A = 1e200 the other coefficients vanish: 1e200 r^2 is a double line
+        assert main(["classify", write(tmp_path, dict(BESSEL, A=1e200))]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["class"] == {"discriminant_class": "parabolic", "degenerate": True,
+                                                     "degenerate_kind": "parallel_or_repeated_lines"}
 
     def test_catalog_list(self, capsys):
         assert main(["catalog", "list"]) == 0

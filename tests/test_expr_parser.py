@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,25 @@ class TestParsing:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("text, offset", [
+        ("x^2^2^2^2^2", 4),  # 2^(2^(2^2)) = 65536 is refused before 2^65536 is formed
+        ("x^1e400", 2),  # a float literal beyond the float range
+        ("x^9^9^9", 4),  # 9^9 = 387420489 is refused before 9^387420489 is formed
+        ("x^1e9", 2),  # would multiply out a list of 10^9 factors
+        ("(1+x+y)^3000", 8),
+        ("x^2^11", 2),
+    ])
+    def test_exponent_above_the_cap_refused_quickly(self, text, offset):
+        start = time.perf_counter()
+        with pytest.raises(ExprSyntaxError, match="exponent must be at most 1024") as info:
+            to_series(parse_expr(text), {}, 20)
+        assert time.perf_counter() - start < 1.0
+        assert info.value.offset == offset
+
+    def test_exponent_at_the_cap_accepted(self):
+        assert parse_expr("x^2^10") == parse_expr("x^1024") == ("pow", ("var", "x"), 1024)
+        assert ev("(1-x/2)^1024", order=3).get((1, 0)) == -512
+
     def test_empty(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("   ")

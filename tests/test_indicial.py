@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobpde.cli import _dump, _scan_json
@@ -106,6 +106,18 @@ class TestClassify:
         scaled = classify(conic(*(scale * v for v in coeffs)))
         assert scaled == base
 
+    @given(
+        st.lists(st.integers(-20, 20), min_size=6, max_size=6).filter(lambda c: max(map(abs, c[:3])) >= 1),
+        st.integers(0, 1000),
+    )
+    @example([1, 0, -1, 0, 0, 0], 1000)  # two crossing lines
+    @example([1, 2, 1, 2, 2, 1], 1000)  # a repeated line
+    @example([1, 0, 1, -1, -1, 1], 600)  # the conic of `euler 1 0 1 0 0 1`
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scale_invariance(self, coeffs, j):
+        # products of coefficients near 2^1000 overflow unless the test is scaled
+        assert classify(conic(*(2.0 ** j * v for v in coeffs))) == classify(conic(*coeffs))
+
     def test_swap_invariance(self):
         # swapping (r, s) maps (A,B,C,D,E,F) -> (C,B,A,E,D,F); class is unchanged
         c1 = classify(conic(2, 1, 3, -1, 4, 1))
@@ -133,6 +145,11 @@ class TestSolveForS:
     def test_no_solution(self):
         with pytest.raises(NoSolution):
             solve_for_s(conic(1, 0, 0, 0, 0, -4), 1)  # 1 - 4 = -3 != 0
+
+    def test_huge_row_has_finite_roots(self):
+        # lin^2 and 4 quad const overflow; the row is rescaled, and the roots with it
+        roots = solve_for_s(conic(1e200, 0, 1e200, -1e200, -1e200, 1e200), 0)
+        assert roots == pytest.approx([0.5 - 0.75 ** 0.5 * 1j, 0.5 + 0.75 ** 0.5 * 1j])
 
     def test_all_solutions_sentinel(self):
         assert solve_for_s(conic(1, 0, 0, 0, 0, -4), 2) is ALL_SOLUTIONS

@@ -19,19 +19,21 @@ def series(text, order=4):
     return to_series(parse_expr(text), {}, order)
 
 
+PDE = RegularSingularPDE(1, 2, 1, series("1"), series("1"), series("x^2"))
+
 #: one record of each type with the name of one of its fields
 RECORDS = [
     (IndicialConic(1 + 0j, 0j, 1, 0, 0, -25), "cF"),
     (ConicClass("elliptic", False, "none"), "degenerate"),
     (ResonanceReport(0j, 0j, 4, ()), "hits"),
-    (RegularSingularPDE(1, 2, 1, series("1"), series("1"), series("x^2")), "A"),
+    (PDE, "A"),
     (ConvergenceReport(True, False, False, True), "general_sufficient"),
     (EulerPDE(1, 0, 0, 1, -1, 0), "F"),
     (LatticeLine((0, 0), (1, 1)), "base"),
     (IntegerPointFamily("elliptic", (1, 0, 1, 0, 0, -25), ((5, 0),), ()), "points"),
     (CatalogEntry("bessel_I", (("nu", 0j),), False), "params"),
     (ResidualReport(0.0, {0: 0.0}, 0), "max_residual"),
-    (ProblemSpec(1, 2, 1, series("1"), series("1"), series("x^2"), {}, "auto", 4, 1e-9), "tol"),
+    (ProblemSpec(PDE, "auto", 4, 1e-9), "tol"),
 ]
 
 

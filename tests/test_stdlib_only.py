@@ -1,15 +1,29 @@
 """The runtime stays stdlib-only: every absolute import in the package names
-a standard-library module.  Importing the CLI stays light."""
+a standard-library module.  Importing the CLI stays light: each subcommand
+loads `catalog` and `euler` only when it uses them, which fresh interpreters
+check, since the test modules themselves import both."""
 
 import ast
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "frobpde"
+import test_golden_cli as golden
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "frobpde"
+
+
+def run_python(*args):
+    """A fresh interpreter that finds the package under src/."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, timeout=60)
 
 
 def absolute_imports(path):
@@ -28,14 +42,46 @@ def test_imports_are_stdlib(path):
 
 def test_cli_import_loads_no_heavy_module():
     """`import frobpde.cli` is what every CLI call pays for first: it must not
-    pull in dataclasses, inspect, datetime, typing or csv."""
+    pull in dataclasses, inspect, datetime, typing or csv, nor the catalog
+    and Euler modules that only some subcommands use."""
     code = (
         "import sys; before = set(sys.modules); import frobpde.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          check=True, capture_output=True, text=True, timeout=60)
-    new = proc.stdout.split()
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    new = proc.stdout.decode().split()
     assert "frobpde.cli" in new
-    assert {"dataclasses", "inspect", "datetime", "typing", "csv"}.isdisjoint(new)
+    heavy = {"dataclasses", "inspect", "datetime", "typing", "csv", "frobpde.catalog", "frobpde.euler"}
+    assert heavy.isdisjoint(new)
+
+
+#: golden case -> the lazily imported modules its subcommand loads
+LAZY_CASES = {
+    "catalog_list": {"frobpde.catalog"},
+    "catalog_bessel_I": {"frobpde.catalog"},
+    "euler_heat": {"frobpde.euler"},
+    "transform_euler_to_constant": {"frobpde.euler"},
+    "transform_prepare": set(),
+    "bessel.solve": set(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAZY_CASES))
+def test_cli_module_run_matches_golden(case):
+    """`python -m frobpde.cli`, as a user or the benchmark runs it, prints the
+    golden stdout and loads only the lazy modules its subcommand needs."""
+    proc = run_python("-X", "importtime", "-m", "frobpde.cli", *golden._argv(golden.CASES[case]))
+    assert proc.returncode == json.loads(golden.CODES.read_text())[case], proc.stderr
+    assert proc.stdout == (golden.EXPECTED / f"{case}.out").read_bytes()
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()}
+    assert imported & {"frobpde.catalog", "frobpde.euler"} == LAZY_CASES[case]
+
+
+def test_readme_imports_work_in_a_fresh_interpreter():
+    """The catalog and Euler modules are imported by name, as the README shows."""
+    readme = (ROOT / "README.md").read_text()
+    imports = re.findall(r"^from frobpde\S* import (?:\([^)]*\)|.*)$", readme, re.MULTILINE)
+    assert "from frobpde import catalog" in imports
+    proc = run_python("-c", "\n".join(imports))
+    assert proc.returncode == 0, proc.stderr
