@@ -17,6 +17,7 @@ The handlers of catalog, euler and transform euler-coordinates import
 
 import argparse
 import json
+import math
 import sys
 from collections import namedtuple
 
@@ -50,25 +51,11 @@ _REFUSALS = (
 # ---------------------------------------------------------------------------
 
 
-def _fmt_num(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if v != v:  # NaN
-        return '"nan"'
-    if v in (float("inf"), float("-inf")):
-        return '"inf"' if v > 0 else '"-inf"'
-    return format(v, ".17g")
-
-
 def _dump(obj):
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
+    if isinstance(obj, float):
+        return format(obj, ".17g") if math.isfinite(obj) else json.dumps(str(obj))
+    if obj is None or isinstance(obj, (str, bool, int)):
         return json.dumps(obj)
-    if isinstance(obj, (bool, int, float)):
-        return _fmt_num(obj)
     if isinstance(obj, complex):
         return _dump((obj.real, obj.imag))
     if hasattr(obj, "_asdict"):
@@ -85,9 +72,9 @@ def _emit_json(obj):
 
 
 def _emit_csv(header, rows):
-    """Numbers and fixed headers only, so no field needs quoting."""
-    lines = [header] + [[format(v, ".17g") if isinstance(v, float) else str(v) for v in row]
-                        for row in rows]
+    """Fixed headers and finite numbers only (a CSeries2 refuses non-finite
+    coefficients and a hit magnitude is below tol), so no field is quoted."""
+    lines = [header] + [[_dump(v) for v in row] for row in rows]
     sys.stdout.write("".join(",".join(line) + "\n" for line in lines))
 
 
@@ -307,7 +294,8 @@ def _cmd_radius(args):
 
 
 def _is_integral(z):
-    return z.imag == 0 and z.real == int(z.real)
+    """An exact integer of the input: a double of 2^53 or more may be a rounded one."""
+    return z.imag == 0 and abs(z.real) < 2 ** 53 and z.real == int(z.real)
 
 
 def _cmd_euler(args):

@@ -250,7 +250,9 @@ def _ratio_rate(sums, N):
         or all(b <= a * (1.0 + _RATIO_MONOTONE_TOL) for a, b in steps)
     ):
         return None
-    rate = _polyfit_at_zero([1.0 / n for n in window], ratios, _RATIO_FIT_DEGREE)
+    coeffs, mid, half = _lstsq([1.0 / n for n in window], ratios, _RATIO_FIT_DEGREE)
+    t0 = -mid / half  # 1/n = 0
+    rate = sum(c * t0 ** k for k, c in enumerate(coeffs))
     return rate if rate > _RATE_FLOOR * max(ratios) else 0.0
 
 
@@ -261,23 +263,18 @@ def _log_linear_rate(sums, N):
     if len(window) == 1:
         n, d = window[0]
         return d ** (1.0 / n)
-    xs = [float(n) for n, _ in window]
-    ys = [math.log(d) for _, d in window]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    beta = sxy / sxx
+    coeffs, _, half = _lstsq([float(n) for n, _ in window], [math.log(d) for _, d in window], 1)
+    beta = coeffs[1] / half
     try:
         return math.exp(beta)
     except OverflowError:
         return math.inf
 
 
-def _polyfit_at_zero(xs, ys, degree):
-    """Value at 0 of the least-squares polynomial of the given degree
-    through (xs, ys).  The abscissae are mapped onto [-1, 1] first, which
-    keeps the normal equations well conditioned."""
+def _lstsq(xs, ys, degree):
+    """(c, mid, half): the least-squares polynomial of the given degree
+    through (xs, ys) is sum c_k t^k in t = (x - mid) / half, which maps the
+    abscissae onto [-1, 1] and keeps the normal equations well conditioned."""
     mid = (max(xs) + min(xs)) / 2
     half = (max(xs) - min(xs)) / 2
     powers = [[1.0] * len(xs), [(x - mid) / half for x in xs]]
@@ -293,8 +290,7 @@ def _polyfit_at_zero(xs, ys, degree):
             if i != k:
                 f = rows[i][k] / rows[k][k]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
-    t0 = -mid / half
-    return sum(rows[k][m] / rows[k][k] * t0 ** k for k in range(m))
+    return [rows[k][m] / rows[k][k] for k in range(m)], mid, half
 
 
 def prepare_coordinates(A_of_x, C_of_y):

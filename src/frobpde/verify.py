@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .errors import OutsideEstimatedDomain
 from .frobenius import radius_estimate
-from .multiseries import CSeries2, norm
+from .multiseries import CSeries2, convolve, norm
 
 
 def apply_operator(pde, r0, s0, coeffs):
@@ -22,7 +22,7 @@ def apply_operator(pde, r0, s0, coeffs):
 
     The output coefficient at Q equals P(r0+q1, s0+q2) d_Q + e_Q.  Computed
     here as q T2 + (q a) Sx + (q b) Sy + (q c) S (`RegularSingularPDE.cleared`),
-    each product summed in full before the next is added, where T2 carries
+    each product a `convolve` summed in full before the next is added: T2 has
     the pure second-order weights A(q1+r)(q1+r-1) + B(q1+r)(q2+s)
     + C(q2+s)(q2+s-1) and Sx, Sy, S are the shifted/unshifted coefficient
     series.  `coeffs` is a CSeries2 (a FrobeniusSolution is one), computed to
@@ -45,13 +45,7 @@ def apply_operator(pde, r0, s0, coeffs):
         sy[(q1, q2)] = ss * d
     out = {}
     for f, g in zip(pde.cleared(), (t2, sx, sy, S.coeffs)):
-        term = {}
-        for (m1, m2), fv in f.coeffs.items():
-            for (p1, p2), gv in g.items():
-                if m1 + m2 + p1 + p2 <= M:
-                    key = (m1 + p1, m2 + p2)
-                    term[key] = term.get(key, 0j) + fv * gv
-        for key, v in term.items():
+        for key, v in convolve(f.coeffs, g, M).items():
             out[key] = out.get(key, 0j) + v
     return CSeries2(M, out).coeffs
 

@@ -245,6 +245,15 @@ class TestOtherSubcommands:
         exponents = [v for row in payload["monomial_exponents"] for v in row]
         assert len(exponents) == 16  # a non-finite number would be the string "nan" or "inf"
         assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in exponents)
+        assert payload["integral_point_families"] == {}  # 1e200 is no exact integer of the input
+
+    def test_euler_integers_end_below_2_53(self, capsys):
+        # 2^53 + 1 is read as the double 2^53, so it is not the integer typed
+        assert main(["euler", "9007199254740993", "0", "1", "0", "0", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["integral_point_families"] == {}
+        assert main(["euler", "9007199254740991", "0", "1", "0", "0", "1"]) == 0
+        family = json.loads(capsys.readouterr().out)["integral_point_families"]["elliptic"]
+        assert family["conic"][0] == 9007199254740991 ** 2
 
     def test_classify_huge_coefficient(self, tmp_path, capsys):
         # relative to A = 1e200 the other coefficients vanish: 1e200 r^2 is a double line

@@ -1,9 +1,10 @@
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobpde import catalog
@@ -16,6 +17,7 @@ from frobpde.errors import (
 from frobpde.expr_parser import parse_expr, to_series
 from frobpde.frobenius import (
     RegularSingularPDE,
+    _lstsq,
     convergence_report,
     prepare_coordinates,
     radius_estimate,
@@ -225,6 +227,29 @@ class TestRadiusEstimate:
         # the coefficients carry 1/(1-x^2) or 1/(1-xy): radius 1
         sol = catalog.solve_entry(catalog.entry(name, **params), 0.5, 0.5, 40)
         assert radius_estimate(sol) == pytest.approx(1.0, rel=1e-3)
+
+
+class TestLstsq:
+    # the abscissae of the two callers: 1/n for the ratio fit, n for the
+    # log-linear fit, over a top-half window of layers
+    WINDOWS = {"1/n": [1.0 / n for n in range(20, 41)], "n": [float(n) for n in range(20, 41)]}
+
+    @given(st.sampled_from(sorted(WINDOWS)), st.integers(1, 2).flatmap(
+        lambda degree: st.lists(st.floats(-100, 100), min_size=degree + 1, max_size=degree + 1)))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_exact_polynomial_recovered(self, window, coeffs):
+        # ordinates rounded once from the exact polynomial in t; 100000 random
+        # draws came within 26 ulp of the largest coefficient
+        assume(max(map(abs, coeffs)) >= 1.0)
+        xs = self.WINDOWS[window]
+        mid = (max(xs) + min(xs)) / 2
+        half = (max(xs) - min(xs)) / 2
+        ts = [Fraction((x - mid) / half) for x in xs]
+        ys = [float(sum(Fraction(c) * t ** k for k, c in enumerate(coeffs))) for t in ts]
+        got, got_mid, got_half = _lstsq(xs, ys, len(coeffs) - 1)
+        assert (got_mid, got_half) == (mid, half)
+        ulp = math.ulp(max(map(abs, coeffs)))
+        assert max(abs(a - b) for a, b in zip(got, coeffs)) <= 32 * ulp
 
 
 class TestPrepareCoordinates:

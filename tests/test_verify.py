@@ -2,12 +2,15 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobpde import catalog
 from frobpde.cli import _dump
 from frobpde.errors import OutsideEstimatedDomain
 from frobpde.expr_parser import parse_expr, to_series
 from frobpde.frobenius import FrobeniusSolution, RegularSingularPDE, solve
+from frobpde.multiseries import CSeries2, cauchy_mul
 from frobpde.verify import apply_operator, eval_solution, residual_max
 from helpers import CATALOG_MODELS
 
@@ -18,6 +21,39 @@ def make_pde(A, B, C, a, b, c, order=12):
 
 
 BESSEL = make_pde(1, 2, 1, "1", "1", "x^2", order=20)
+
+
+EXPRESSIONS = ["0", "1", "-2.5", "x", "x^2 - 0.25", "1 + x*y", "3*x - y^2 + 0.5*x*y", "1/(1 - x)",
+               "(2 + y)/(1 - x*y)", "x/(2 - y)", "1/(1 - x - y)^2", "0.5/(3 - x) - 0.25/(0.5 - x^2)"]
+NUMBERS = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+
+
+def docstring_operator(pde, r0, s0, S):
+    """q T2 + (q a) Sx + (q b) Sy + (q c) S from `pde.cleared()`, each term a
+    `cauchy_mul` and the four added with `+`."""
+    A, B, C = complex(pde.A), complex(pde.B), complex(pde.C)
+    r0, s0 = complex(r0), complex(s0)
+    t2, sx, sy = {}, {}, {}
+    for (q1, q2), d in S.coeffs.items():
+        rr, ss = q1 + r0, q2 + s0
+        t2[(q1, q2)] = (A * rr * (rr - 1) + B * rr * ss + C * ss * (ss - 1)) * d
+        sx[(q1, q2)] = rr * d
+        sy[(q1, q2)] = ss * d
+    weighted = [CSeries2(S.order, t) for t in (t2, sx, sy)] + [S]
+    q, qa, qb, qc = (cauchy_mul(f, g) for f, g in zip(pde.cleared(), weighted))
+    return q + qa + qb + qc
+
+
+@st.composite
+def operator_cases(draw):
+    M = draw(st.integers(0, 6))
+    texts = draw(st.lists(st.sampled_from(EXPRESSIONS), min_size=3, max_size=3))
+    order = M + draw(st.integers(0, 2))
+    coefficients = [to_series(parse_expr(t), {}, order) for t in texts]
+    pde = RegularSingularPDE(*(draw(NUMBERS) for _ in "ABC"), *coefficients)
+    keys = st.tuples(st.integers(0, M), st.integers(0, M)).filter(lambda Q: Q[0] + Q[1] <= M)
+    S = CSeries2(M, draw(st.dictionaries(keys, NUMBERS, max_size=12)))
+    return pde, draw(NUMBERS), draw(NUMBERS), S
 
 
 class TestApplyOperator:
@@ -43,6 +79,13 @@ class TestApplyOperator:
         pde = make_pde(1, 2, 1, "1", "1", "x^2", order=3)
         with pytest.raises(ValueError):
             apply_operator(pde, 0, 0, {(5, 0): 1.0})
+
+    @given(operator_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_docstring_formula(self, case):
+        # value for value, not approximately: the summation order is pinned
+        pde, r0, s0, S = case
+        assert apply_operator(pde, r0, s0, S) == docstring_operator(pde, r0, s0, S).coeffs
 
 
 class TestResidualMax:
