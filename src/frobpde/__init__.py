@@ -15,6 +15,7 @@ from .errors import (
     MissingParameter,
     NoSolution,
     OutsideEstimatedDomain,
+    Refusal,
     ResonantPoint,
     SchemaError,
     UnboundParameter,

@@ -349,20 +349,20 @@ def _bespoke_table(name, param, r0, s0, N):
 # ---------------------------------------------------------------------------
 
 
-def _y2(t, terms=25):
+def _y2(t):
     """The second standard Airy ODE solution y2(t) = t + t^4/(3*4) + ...,
-    summed from its own series."""
+    summed from its own series to the term in t^76."""
     total = t
     term = t
-    for n in range(1, terms + 1):
+    for n in range(1, 26):
         term *= t ** 3 / ((3 * n) * (3 * n + 1))
         total += term
     return total
 
 
 @lru_cache(maxsize=None)
-def _airy_solution(name, order=45):
-    return solve_entry(entry(name), 0.5, 0.5, N=order)
+def _airy_solution(name):
+    return solve_entry(entry(name), 0.5, 0.5, N=45)
 
 
 def special_relation_check(name, x, y):

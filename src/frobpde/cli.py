@@ -4,8 +4,8 @@ Subcommands: classify, solve, scan-resonance, euler, catalog list|solve,
 verify, transform (euler-coordinates | prepare-coordinates), radius.
 
 Exit codes: 0 success, 1 input error (bad JSON, schema violation, expression
-syntax, unknown flags), 2 mathematical refusal (resonant point, off-conic
-point, unsatisfiable constraints).
+syntax, unknown flags), 2 a mathematical refusal, `errors.Refusal` (resonant
+point, off-conic point, unsatisfiable constraints).
 
 Payloads are deterministic: no timestamps, canonical coefficient order, every
 number printed with 17 significant digits.  `--meta` writes a timestamped
@@ -22,27 +22,11 @@ import sys
 from collections import namedtuple
 
 from . import __version__
-from .errors import (
-    BasePointNotOnConic,
-    ComplexCoefficients,
-    ConstraintViolated,
-    FrobPDEError,
-    NoSolution,
-    ResonantPoint,
-    SchemaError,
-)
+from .errors import BasePointNotOnConic, ConstraintViolated, FrobPDEError, NoSolution, Refusal, SchemaError
 from .expr_parser import parse_expr, to_series
 from .frobenius import RegularSingularPDE, prepare_coordinates, radius_estimate, solve
 from .indicial import ALL_SOLUTIONS, DEFAULT_TOL, classify, resonance_scan, solve_for_s
 from .verify import residual_max
-
-_REFUSALS = (
-    BasePointNotOnConic,
-    ResonantPoint,
-    NoSolution,
-    ComplexCoefficients,
-    ConstraintViolated,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +91,8 @@ def _solution_json(sol):
 # ---------------------------------------------------------------------------
 
 
-class ProblemSpec(namedtuple("ProblemSpec", "pde point order tol")):
-    """pde: RegularSingularPDE
+class ProblemSpec(namedtuple("ProblemSpec", "pde point tol")):
+    """pde: RegularSingularPDE, truncated at the problem order
     point: "auto" or (complex, complex)"""
 
     __slots__ = ()
@@ -199,7 +183,7 @@ def load_problem(path):
                 raise SchemaError("tol must be a positive finite number", "/tolerances/tol")
             tol = float(value)
 
-    return ProblemSpec(RegularSingularPDE(A, B, C, *series), point, order, tol)
+    return ProblemSpec(RegularSingularPDE(A, B, C, *series), point, tol)
 
 
 def _r_candidates(conic, count):
@@ -215,28 +199,22 @@ def _r_candidates(conic, count):
         yield r, [0j] if roots is ALL_SOLUTIONS else roots
 
 
-def _auto_point(spec):
-    """Deterministic nonresonant-point search.
-
-    The candidates come from _r_candidates; the first point whose resonance
-    scan up to the problem order is clean wins.
-    """
+def _resolve_point(spec):
+    """The problem point, or for "auto" a deterministic search: the first
+    candidate of _r_candidates whose resonance scan up to the problem order
+    is clean."""
+    if spec.point != "auto":
+        return spec.point
     conic = spec.pde.conic()
     for r, roots in _r_candidates(conic, 81):
         for s in roots:
             try:
-                report = resonance_scan(conic, r, s, spec.order, spec.tol)
+                report = resonance_scan(conic, r, s, spec.pde.order, spec.tol)
             except BasePointNotOnConic:
                 continue
             if not report.hits:
                 return complex(r), complex(s)
     raise NoSolution("auto point search found no nonresonant conic point")
-
-
-def _resolve_point(spec):
-    if spec.point == "auto":
-        return _auto_point(spec)
-    return spec.point
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +232,7 @@ def _solved(args):
     """(pde, solution) for the problem file at its resolved point."""
     spec = load_problem(args.problem)
     r0, s0 = _resolve_point(spec)
-    return spec.pde, solve(spec.pde, r0, s0, spec.order, tol=spec.tol,
+    return spec.pde, solve(spec.pde, r0, s0, spec.pde.order, tol=spec.tol,
                            resonance_policy=args.resonance_policy)
 
 
@@ -272,7 +250,7 @@ def _cmd_solve(args):
 def _cmd_scan(args):
     spec = load_problem(args.problem)
     r0, s0 = _resolve_point(spec)
-    report = resonance_scan(spec.pde.conic(), r0, s0, spec.order, spec.tol)
+    report = resonance_scan(spec.pde.conic(), r0, s0, spec.pde.order, spec.tol)
     if args.format == "csv":
         _emit_csv(("q1", "q2", "magnitude"), [(q1, q2, m) for (q1, q2), m in report.hits])
     else:
@@ -477,7 +455,7 @@ def main(argv=None):
         return 1
     try:
         args.func(args)
-    except _REFUSALS as exc:
+    except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except (FrobPDEError, OSError, ValueError) as exc:

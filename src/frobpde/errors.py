@@ -32,19 +32,23 @@ class UnboundParameter(FrobPDEError):
     """A parameter name in an expression has no bound value."""
 
 
-class ComplexCoefficients(FrobPDEError):
+class Refusal(FrobPDEError):
+    """A well-formed problem that has no answer: the CLI exits 2 on it."""
+
+
+class ComplexCoefficients(Refusal):
     """Conic classification requested for a genuinely complex conic."""
 
 
-class NoSolution(FrobPDEError):
+class NoSolution(Refusal):
     """solve_for_s degenerated to a nonzero constant equation."""
 
 
-class BasePointNotOnConic(FrobPDEError):
+class BasePointNotOnConic(Refusal):
     """The supplied exponent pair does not satisfy the indicial conic."""
 
 
-class ResonantPoint(FrobPDEError):
+class ResonantPoint(Refusal):
     """The recurrence would divide by (numerically) zero at some shift Q."""
 
     def __init__(self, message, hits=()):
@@ -57,7 +61,7 @@ class MissingParameter(FrobPDEError):
     """A catalog entry was instantiated without a required parameter."""
 
 
-class ConstraintViolated(FrobPDEError):
+class ConstraintViolated(Refusal):
     """Integer-point family preconditions failed (e.g. B^2 != 4AC)."""
 
 

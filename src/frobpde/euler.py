@@ -28,9 +28,9 @@ class EulerPDE(namedtuple("EulerPDE", "A B C D E F")):
         return IndicialConic.from_euler(*self)
 
 
-def monomial_check(pde, r, s, tol=DEFAULT_TOL):
+def monomial_check(pde, r, s):
     """True iff x^r y^s formally solves the Euler PDE (conic membership)."""
-    return abs(pde.conic().evaluate(r, s)) < tol
+    return abs(pde.conic().evaluate(r, s)) < DEFAULT_TOL
 
 
 def real_monomial_pair(r, s, x, y):

@@ -13,13 +13,18 @@ ASTs are plain tuples:
 """
 
 import re
+from collections import namedtuple
 from functools import reduce
 
 from .errors import DivisionBySeriesWithZeroConstantTerm, ExprSyntaxError, UnboundParameter
 from .multiseries import CSeries2, cauchy_mul, reciprocal
 
-_NUM_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+#: one token per match; whitespace matches no alternative, so finditer skips
+#: it, and `other` is any character that starts no token
+_TOKEN_RE = re.compile(
+    r"(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()])|(?P<other>\S)|(?P<end>\Z)"
+)
 
 # binding powers
 _BP_ADD = 10
@@ -33,13 +38,8 @@ _BP_POW = 40
 _MAX_EXPONENT = 1024
 
 
-class _Token:
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind, text, offset):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
+#: kind is "number", "ident", "end" or the operator character itself
+_Token = namedtuple("_Token", "kind text offset")
 
 
 def _line_col(text, offset):
@@ -55,29 +55,11 @@ def _err(text, offset, message, expected=()):
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _NUM_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("number", m.group(0), pos))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("ident", m.group(0), pos))
-            pos = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, pos))
-            pos += 1
-            continue
-        _err(text, pos, f"unexpected character {ch!r}")
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "other":
+            _err(text, m.start(), f"unexpected character {tok!r}")
+        tokens.append(_Token(tok if kind == "op" else kind, tok, m.start()))
     return tokens
 
 

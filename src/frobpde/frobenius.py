@@ -72,7 +72,7 @@ class ConvergenceReport(
         )
 
 
-def convergence_report(A, B, C, tol=DEFAULT_TOL):
+def convergence_report(A, B, C):
     """Evaluate the four sufficient convergence hypotheses on (A, B, C).
 
     parabolic of real type: B = 2 sqrt(A) sqrt(C) with Re(sqrt(A) sqrt(C)) > 0.
@@ -80,15 +80,16 @@ def convergence_report(A, B, C, tol=DEFAULT_TOL):
     sign choices are tried.  The remaining three conditions are the B = 0
     elliptic/hyperbolic hypotheses and the general sufficient condition
     ||B||^2/2 + Re(A conj C) > 0, Re(A conj B) > 0, Re(B conj C) > 0.
+    Equalities hold to within DEFAULT_TOL relative to max(1, |A|, |B|, |C|).
     """
     A, B, C = complex(A), complex(B), complex(C)
     scale = max(1.0, abs(A), abs(B), abs(C))
     w = cmath.sqrt(A) * cmath.sqrt(C)
     parabolic = False
     for signed in (w, -w):
-        if abs(B - 2.0 * signed) <= tol * scale and signed.real > 0:
+        if abs(B - 2.0 * signed) <= DEFAULT_TOL * scale and signed.real > 0:
             parabolic = True
-    b_zero = abs(B) <= tol * scale
+    b_zero = abs(B) <= DEFAULT_TOL * scale
     re_ac = (A * C.conjugate()).real
     elliptic = b_zero and re_ac > 0
     hyperbolic = b_zero and re_ac < 0
@@ -116,7 +117,7 @@ class FrobeniusSolution(CSeries2):
 
 
 def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
-    """Run the Frobenius recurrence up to order N at a conic point (r0, s0).
+    """Run the Frobenius recurrence up to order N <= pde.order at a conic point (r0, s0).
 
     resonance_policy "strict" refuses whenever the resonance scan reports any
     hit.  Policy "skip_removable" proceeds through hits whose convolution term
@@ -140,6 +141,8 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     """
     if N < 1:
         raise ValueError("order N must be >= 1")
+    if N > pde.order:  # a, b, c would be truncated below the table
+        raise ValueError(f"order N = {N} exceeds the order {pde.order} of the PDE series")
     if resonance_policy not in ("strict", "skip_removable"):
         raise ValueError(f"unknown resonance policy {resonance_policy!r}")
     r0 = complex(r0)

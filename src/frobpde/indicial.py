@@ -5,6 +5,7 @@ import math
 from collections import namedtuple
 
 from .errors import BasePointNotOnConic, ComplexCoefficients, NoSolution
+from .multiseries import index_key
 
 #: resonance / on-conic tolerance (absolute)
 DEFAULT_TOL = 1e-9
@@ -204,6 +205,6 @@ def resonance_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
             mag = abs(Ar + Br * ss[q2] + Cs[q2] + Dr + Es[q2] + cF)
             if mag < tol:
                 hits.append(((q1, q2), mag))
-    hits.sort(key=lambda hit: (sum(hit[0]), hit[0][0]))  # canonical: norm, then q1
+    hits.sort(key=lambda hit: index_key(hit[0]))
     nonres = N if not hits else sum(hits[0][0]) - 1
     return ResonanceReport(r0, s0, N, tuple(hits), nonres)

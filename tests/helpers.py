@@ -1,11 +1,14 @@
 """Helpers shared by the tests: series helpers, the catalog models, the
-per-point references for the engine and the resonance scan, and exact
-references for the series operations and for `to_series`."""
+per-point references for the engine and the resonance scan, exact
+references for the series operations and for `to_series`, and the
+character-by-character reference for the expression tokenizer."""
 
 import math
+import re
 from fractions import Fraction
 
 from frobpde.errors import BasePointNotOnConic, ResonantPoint
+from frobpde.expr_parser import _err
 from frobpde.frobenius import FrobeniusSolution, convergence_report
 from frobpde.indicial import DEFAULT_TOL, ResonanceReport
 from frobpde.multiseries import CSeries2, cauchy_mul, index_key, norm, reciprocal
@@ -266,3 +269,42 @@ def layer_relative_error(series, exact):
         err = max(math.hypot(Fraction(series.get(Q).real) - exact.get(Q, 0), series.get(Q).imag) for Q in layer)
         worst = max(worst, err / float(scale))
     return worst
+
+
+# -- reference for the tokenizer ----------------------------------------------
+# The expression tokenizer as it was before it became one regular expression:
+# a scan that skips whitespace by str.isspace and tries a number, then an
+# identifier, then an operator at each position.
+
+_NUM_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def reference_tokenize(text):
+    """(kind, text, offset) triples ending with ("end", "", len(text)), or
+    the ExprSyntaxError of the first character that starts no token."""
+    tokens = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        m = _NUM_RE.match(text, pos)
+        if m:
+            tokens.append(("number", m.group(0), pos))
+            pos = m.end()
+            continue
+        m = _IDENT_RE.match(text, pos)
+        if m:
+            tokens.append(("ident", m.group(0), pos))
+            pos = m.end()
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, pos))
+            pos += 1
+            continue
+        _err(text, pos, f"unexpected character {ch!r}")
+    tokens.append(("end", "", n))
+    return tokens

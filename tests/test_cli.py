@@ -4,6 +4,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from frobpde import errors
 from frobpde.cli import load_problem, main
 from frobpde.errors import SchemaError
 
@@ -30,7 +31,7 @@ HEAT = {
 class TestLoadProblem:
     def test_valid(self, tmp_path):
         spec = load_problem(write(tmp_path, BESSEL))
-        assert spec.pde.A == 1 and spec.order == 10
+        assert spec.pde.A == 1 and spec.pde.order == 10
         assert spec.point == (0j, 0j)
         assert spec.pde.c.get((2, 0)) == 1.0
 
@@ -103,6 +104,13 @@ class TestExitCodes:
 
     def test_refusal_off_conic(self, tmp_path, capsys):
         assert main(["solve", write(tmp_path, dict(BESSEL, point=[1, 1]))]) == 2
+
+    def test_exit_two_errors_are_the_refusals(self):
+        # main exits 2 on errors.Refusal: exactly these five derive from it
+        derived = {e.__name__ for e in vars(errors).values()
+                   if isinstance(e, type) and issubclass(e, errors.Refusal) and e is not errors.Refusal}
+        assert derived == {"BasePointNotOnConic", "ComplexCoefficients", "ConstraintViolated",
+                           "NoSolution", "ResonantPoint"}
 
     def test_input_error_missing_file(self, tmp_path, capsys):
         assert main(["classify", str(tmp_path / "nope.json")]) == 1

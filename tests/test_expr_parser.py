@@ -10,9 +10,17 @@ from frobpde.errors import (
     ExprSyntaxError,
     UnboundParameter,
 )
-from frobpde.expr_parser import parse_expr, pretty, to_series
+from frobpde.expr_parser import _tokenize, parse_expr, pretty, to_series
 from frobpde.multiseries import CSeries2, cauchy_mul, reciprocal
-from helpers import bits, dense_to_series, exact_mul, exact_reciprocal, exact_series, max_abs_diff
+from helpers import (
+    bits,
+    dense_to_series,
+    exact_mul,
+    exact_reciprocal,
+    exact_series,
+    max_abs_diff,
+    reference_tokenize,
+)
 
 
 def ev(text, params=None, order=6):
@@ -96,6 +104,29 @@ class TestErrors:
     def test_trailing_input(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("1 1 +")
+
+
+#: digits (one of them not ASCII), the literal characters . e E, letters,
+#: operators, ASCII and Unicode whitespace, and characters that start no token
+_TOKEN_CHARS = st.sampled_from(list("0123456789\u0663.eEixyaZ_+-*/^()")
+                               + [" ", "\t", "\n", "\x1c", "\u00a0", "$", "\u00e9", "\u03bb"])
+
+
+class TestTokenizer:
+    @given(st.text(_TOKEN_CHARS, max_size=24))
+    @settings(max_examples=400, deadline=None)
+    @example("1.e5e+3 .5x__9 \x1c2E-7(")
+    @example("1 +\n  \u03bb")
+    @example(" \u00a0")
+    def test_same_tokens_and_errors_as_the_reference(self, text):
+        try:
+            expected = reference_tokenize(text)
+        except ExprSyntaxError as ref:
+            with pytest.raises(ExprSyntaxError) as info:
+                _tokenize(text)
+            assert (str(info.value), info.value.offset) == (str(ref), ref.offset)
+        else:
+            assert [tuple(tok) for tok in _tokenize(text)] == expected
 
 
 class TestEvaluation:

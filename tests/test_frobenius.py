@@ -110,6 +110,15 @@ class TestSolveBasics:
         with pytest.raises(ResonantPoint):
             solve(pde, 0, 0, 6, resonance_policy="skip_removable")
 
+    def test_order_beyond_the_pde_refused(self):
+        # c at order 10 has lost its x^12 term, which sets D_(12,0) of the
+        # order-20 solution: the table would be that of another PDE
+        text = "x^2 - 0.25 + x^12"
+        with pytest.raises(ValueError, match="exceeds the order 10 of the PDE series"):
+            solve(make_pde(1, 2, 1, "1", "1", text, order=10), 0.5, 0, 20)
+        sol = solve(make_pde(1, 2, 1, "1", "1", text, order=20), 0.5, 0, 20)
+        assert sol.get((12, 0)) == pytest.approx(-6.41e-3, rel=1e-3)
+
     def test_unknown_policy(self):
         pde = make_pde(1, 2, 1, "1", "1", "x^2")
         with pytest.raises(ValueError):
@@ -218,6 +227,22 @@ class TestRadiusEstimate:
         # exp(x): ratios 1/n extrapolate to a rate at rounding level
         table = {(n, 0): 1.0 / math.factorial(n) for n in range(41)}
         assert radius_estimate(table, order=40) == math.inf
+
+    # The fallbacks: tables whose ratios cannot be extrapolated, truncated at
+    # their highest layer (no order given).
+
+    def test_single_layer(self):
+        # one nonzero layer: no period, and the rate is d_12^(1/12) = 2
+        assert radius_estimate({(12, 0): 4096.0}) == 0.5
+
+    def test_zero_layer_on_the_progression(self):
+        # period 2 with layer 16 missing: the log-linear slope gives rate 1/2
+        table = {(n, 0): 2.0 ** -n for n in range(0, 21, 2) if n != 16}
+        assert radius_estimate(table) == pytest.approx(2.0, abs=1e-15)
+
+    def test_overflowing_rate(self):
+        # one ratio in the top half, and a log-linear slope whose exponential overflows
+        assert radius_estimate({(9, 0): 1e-300, (10, 0): 1e300}) == 0.0
 
     @pytest.mark.parametrize(
         "name, params",

@@ -33,7 +33,7 @@ RECORDS = [
     (IntegerPointFamily("elliptic", (1, 0, 1, 0, 0, -25), ((5, 0),), ()), "points"),
     (CatalogEntry("bessel_I", (("nu", 0j),), False), "params"),
     (ResidualReport(0.0, {0: 0.0}, 0), "max_residual"),
-    (ProblemSpec(PDE, "auto", 4, 1e-9), "tol"),
+    (ProblemSpec(PDE, "auto", 1e-9), "tol"),
 ]
 
 

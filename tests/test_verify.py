@@ -119,7 +119,7 @@ class TestResidualMax:
 
 class TestEvalSolution:
     def test_matches_direct_sum(self):
-        sol = solve(BESSEL, 0, 0, 40)
+        sol = solve(make_pde(1, 2, 1, "1", "1", "x^2", order=40), 0, 0, 40)
         x = 0.5
         direct = sum(
             (-1) ** n / (4.0 ** n * math.factorial(n) ** 2) * x ** (2 * n) for n in range(21)
