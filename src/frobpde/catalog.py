@@ -16,56 +16,52 @@ from functools import lru_cache
 
 from .errors import MissingParameter
 from . import frobenius
-from .expr_parser import parse_expr, to_series
+from .expr_parser import _tokenize, parse_expr, to_series
 from .frobenius import RegularSingularPDE
 from .verify import eval_solution
+
+
+def _bessel_point(p):
+    """(nu, 0), or (-nu, 0) when Re nu < 0: the point of the Bessel conics with
+    the larger Re r, nonresonant as P = n(n + 2 nu) on layer n of bessel_I."""
+    nu = complex(p["nu"])
+    return (-nu if nu.real < 0 else nu), 0.0
+
 
 _SPECS = {
     "bessel_I": {
         "ABC": ("1", "2", "1"),
         "abc": ("1", "1", "x^2 - nu^2"),
-        "params": ("nu",),
-        "normalized": False,
         "conic": "(r+s)^2 - nu^2",
-        "sample_point": lambda p: (0.0, 0.0),
+        "sample_point": _bessel_point,
     },
     "bessel_II": {
         "ABC": ("1", "0", "1"),
         "abc": ("1", "1", "x*y - nu^2"),
-        "params": ("nu",),
-        "normalized": False,
         "conic": "r^2 + s^2 - nu^2",
-        "sample_point": lambda p: (0.0, 0.0),
+        "sample_point": _bessel_point,
     },
     "airy_I": {
         "ABC": ("1", "2", "1"),
         "abc": ("0", "0", "-x^3"),
-        "params": (),
-        "normalized": False,
         "conic": "(r+s)(r+s-1)",
         "sample_point": lambda p: (0.5, 0.5),
     },
     "airy_II": {
         "ABC": ("1", "2", "1"),
         "abc": ("0", "0", "-x^2*y"),
-        "params": (),
-        "normalized": False,
         "conic": "(r+s)(r+s-1)",
         "sample_point": lambda p: (0.5, 0.5),
     },
     "hermite_I": {
         "ABC": ("1", "2", "1"),
         "abc": ("-2*x^2", "-2*x^2", "lam*x^2"),
-        "params": ("lam",),
-        "normalized": False,
         "conic": "(r+s)(r+s-1)",
         "sample_point": lambda p: (0.5, 0.5),
     },
     "hermite_II": {
         "ABC": ("1", "2", "1"),
         "abc": ("-2*x^2", "-2*y^2", "lam*x*y"),
-        "params": ("lam",),
-        "normalized": False,
         "conic": "(r+s)(r+s-1)",
         "sample_point": lambda p: (0.5, 0.5),
     },
@@ -76,8 +72,6 @@ _SPECS = {
             "-2*x^2/(1-x^2)",
             "lam*(lam+1)*x^2/(1-x^2)",
         ),
-        "params": ("lam",),
-        "normalized": True,
         "conic": "(r+s)(r+s-1)",
         "sample_point": lambda p: (0.5, 0.5),
     },
@@ -88,50 +82,38 @@ _SPECS = {
             "-2*y^2/(1-x*y)",
             "lam*(lam+1)*x*y/(1-x*y)",
         ),
-        "params": ("lam",),
-        "normalized": True,
         "conic": "(r+s)(r+s-1)",
         "sample_point": lambda p: (0.5, 0.5),
     },
     "chebyshev_I": {
         "ABC": ("1", "2", "1"),
         "abc": ("-x^2/(1-x^2)", "-x^2/(1-x^2)", "p^2*x^2/(1-x^2)"),
-        "params": ("p",),
-        "normalized": True,
         "conic": "(r+s)(r+s-1)",
         "sample_point": lambda p: (0.5, 0.5),
     },
     "chebyshev_II": {
         "ABC": ("1", "2", "1"),
         "abc": ("-x^2/(1-x*y)", "-y^2/(1-x*y)", "p^2*x*y/(1-x*y)"),
-        "params": ("p",),
-        "normalized": True,
         "conic": "(r+s)(r+s-1)",
         "sample_point": lambda p: (0.5, 0.5),
     },
     "laguerre_I": {
         "ABC": ("1", "2", "1"),
         "abc": ("1-x", "1-x", "lam*x"),
-        "params": ("lam",),
-        "normalized": False,
         "conic": "(r+s)^2",
         "sample_point": lambda p: (0.0, 0.0),
     },
     "laguerre_II": {
         "ABC": ("1", "2", "1"),
         "abc": ("1-x*y", "1-x*y", "lam*x*y"),
-        "params": ("lam",),
-        "normalized": False,
         "conic": "(r+s)^2",
         "sample_point": lambda p: (0.0, 0.0),
     },
     "disturbed_heat": {
         "ABC": ("a^2", "0", "0"),
         "abc": ("a^2 - x*y", "-1", "0"),
-        "params": ("a",),
-        "normalized": False,
         "conic": "a^2 r^2 - s",
-        "sample_point": lambda p: (0.5, 0.25 * complex(p["a"]).real ** 2),
+        "sample_point": lambda p: (0.5, 0.25 * complex(p["a"]) ** 2),
     },
 }
 
@@ -144,30 +126,37 @@ class CatalogEntry(namedtuple("CatalogEntry", "name params normalized")):
     __slots__ = ()
 
 
+def _params(spec):
+    """The identifiers of the model's A, B, C, a, b, c other than x, y and i,
+    in order of first appearance."""
+    tokens = [t for text in spec["ABC"] + spec["abc"] for t in _tokenize(text)]
+    return list(dict.fromkeys(t.text for t in tokens if t.kind == "ident" and t.text not in ("x", "y", "i")))
+
+
+def _normalized(spec):
+    """Whether a, b or c divides: the model was divided by its variable leading factor."""
+    return any("/" in text for text in spec["abc"])
+
+
 def entry(name, **params):
     """Build a CatalogEntry, validating its parameter set."""
     if name not in _SPECS:
         raise ValueError(f"unknown catalog entry {name!r}; known: {', '.join(NAMES)}")
-    spec = _SPECS[name]
-    missing = [p for p in spec["params"] if p not in params]
+    names = _params(_SPECS[name])
+    missing = [p for p in names if p not in params]
     if missing:
         raise MissingParameter(f"{name} needs parameter(s): {', '.join(missing)}")
-    unknown = [p for p in params if p not in spec["params"]]
+    unknown = [p for p in params if p not in names]
     if unknown:
         raise ValueError(f"{name} does not take parameter(s): {', '.join(unknown)}")
     bound = tuple(sorted((k, complex(v)) for k, v in params.items()))
-    return CatalogEntry(name, bound, spec["normalized"])
+    return CatalogEntry(name, bound, _normalized(_SPECS[name]))
 
 
 def list_entries():
     """Name, required parameters and normalization flag for every model."""
     return [
-        {
-            "name": name,
-            "params": list(spec["params"]),
-            "normalized": spec["normalized"],
-            "conic": spec["conic"],
-        }
+        {"name": name, "params": _params(spec), "normalized": _normalized(spec), "conic": spec["conic"]}
         for name, spec in _SPECS.items()
     ]
 

@@ -18,6 +18,7 @@ The handlers of catalog, euler and transform euler-coordinates import
 import argparse
 import json
 import math
+import re
 import sys
 from collections import namedtuple
 
@@ -109,8 +110,12 @@ def _is_tol(value):
     return value > 0 and _is_finite(value)
 
 
-def _finite(z, pointer):
-    """The complex number z, refused at pointer unless both parts are finite."""
+def _finite(value, pointer):
+    """complex(value) for a float or a string, refused at pointer unless it parses and is finite."""
+    try:
+        z = complex(value)
+    except ValueError:
+        raise SchemaError(f"cannot parse number {value!r}", pointer) from None
     if not (_is_finite(z.real) and _is_finite(z.imag)):
         raise SchemaError("expected a finite number", pointer)
     return z
@@ -281,7 +286,7 @@ def _cmd_euler(args):
 
     if not _is_tol(args.tol):
         raise SchemaError("tol must be a positive finite number", "--tol")
-    coeffs = [_finite(complex(getattr(args, name)), name) for name in "ABCDEF"]
+    coeffs = [_finite(getattr(args, name), name) for name in "ABCDEF"]
     pde = EulerPDE(*coeffs)
     conic = pde.conic()
     payload = {"conic": conic, "class": classify(conic, args.tol)}
@@ -320,11 +325,7 @@ def _parse_param(text):
     if "=" not in text:
         raise SchemaError(f"--param needs name=value, got {text!r}", "/params")
     name, _, value = text.partition("=")
-    try:
-        z = complex(value)
-    except ValueError:
-        raise SchemaError(f"cannot parse parameter value {value!r}", f"/params/{name}") from None
-    return name, _finite(z, f"/params/{name}")
+    return name, _finite(value, f"/params/{name}")
 
 
 def _cmd_catalog_solve(args):
@@ -332,13 +333,12 @@ def _cmd_catalog_solve(args):
 
     params = dict(_parse_param(p) for p in args.param or [])
     ent = catalog.entry(args.name, **params)
-    if args.point == "auto":
-        r0, s0 = catalog.default_point(ent)
-    else:
+    r0 = s0 = None  # "auto": the entry's default point
+    if args.point != "auto":
         parts = args.point.split(",")
         if len(parts) != 2:
             raise SchemaError('--point needs "r,s" or "auto"', "/point")
-        r0, s0 = (_finite(complex(p), f"/point/{i}") for i, p in enumerate(parts))
+        r0, s0 = (_finite(p, f"/point/{i}") for i, p in enumerate(parts))
     _emit_solution(catalog.solve_entry(ent, r0, s0, args.order), args.format)
 
 
@@ -348,7 +348,7 @@ def _cmd_transform(args):
             raise SchemaError("euler-coordinates needs six coefficients A B C D E F", "")
         from .euler import euler_coords
 
-        coeffs = [_finite(complex(v), name) for name, v in zip("ABCDEF", args.values)]
+        coeffs = [_finite(v, name) for name, v in zip("ABCDEF", args.values)]
         out = euler_coords(coeffs, args.direction)
         _emit_json({"direction": args.direction, "coefficients": out})
         return
@@ -371,6 +371,11 @@ class _CLIUsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads -1e-3 as an option; no option name starts with a digit or a dot
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _CLIUsageError(message)

@@ -22,7 +22,7 @@ from .multiseries import CSeries2, cauchy_mul, reciprocal
 #: one token per match; whitespace matches no alternative, so finditer skips
 #: it, and `other` is any character that starts no token
 _TOKEN_RE = re.compile(
-    r"(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"(?P<number>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])|(?P<other>\S)|(?P<end>\Z)"
 )
 

@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import reduce
 
 from .errors import ResonantPoint, ZeroConstantTerm
-from .indicial import DEFAULT_TOL, IndicialConic, resonance_scan
+from .indicial import DEFAULT_TOL, IndicialConic, resonance_scan, unit_scale
 from .multiseries import CSeries2, _power, cauchy_mul, index_key, layer_sweep
 
 
@@ -79,11 +79,12 @@ def convergence_report(A, B, C):
     The square-root branch ambiguity does not affect the condition, so both
     sign choices are tried.  The remaining three conditions are the B = 0
     elliptic/hyperbolic hypotheses and the general sufficient condition
-    ||B||^2/2 + Re(A conj C) > 0, Re(A conj B) > 0, Re(B conj C) > 0.
-    Equalities hold to within DEFAULT_TOL relative to max(1, |A|, |B|, |C|).
+    ||B||^2/2 + Re(A conj C) > 0, Re(A conj B) > 0, Re(B conj C) > 0, all on
+    (A, B, C) times unit_scale; equalities to DEFAULT_TOL max(|A|, |B|, |C|).
     """
-    A, B, C = complex(A), complex(B), complex(C)
-    scale = max(1.0, abs(A), abs(B), abs(C))
+    unit = unit_scale((A, B, C))
+    A, B, C = complex(A) * unit, complex(B) * unit, complex(C) * unit
+    scale = max(abs(A), abs(B), abs(C))
     w = cmath.sqrt(A) * cmath.sqrt(C)
     parabolic = False
     for signed in (w, -w):
@@ -108,7 +109,7 @@ class FrobeniusSolution(CSeries2):
 
     __slots__ = ("r0", "s0", "resonance_certificate", "convergence")
 
-    def __init__(self, r0, s0, order, coeffs, resonance_certificate, convergence=None):
+    def __init__(self, r0, s0, order, coeffs, resonance_certificate, convergence):
         super().__init__(order, coeffs)
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "s0", s0)

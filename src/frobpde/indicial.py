@@ -57,28 +57,33 @@ class ConicClass(namedtuple("ConicClass", "discriminant_class degenerate degener
     __slots__ = ()
 
 
+def unit_scale(numbers):
+    """The power of two that brings m, the largest real or imaginary part of
+    the numbers in magnitude, into [1/2, 1): exact to multiply by, 1 for m = 0,
+    and at most 2^1023, which leaves a subnormal m below 1/2."""
+    m = max(max(abs(z.real), abs(z.imag)) for z in numbers)
+    return math.ldexp(1.0, min(1023, -math.frexp(m)[1]))
+
+
 def classify(conic, tol=DEFAULT_TOL):
     """Classification by the discriminant sign and the 3x3 determinant.
 
     Only real conics are classified; genuinely complex coefficients are
-    refused.  The degeneracy test is relative to the maximum coefficient
-    magnitude cubed, so it is invariant under scaling the conic.  Both tests
-    run on the conic divided by 2^e, the power of two just above that
-    magnitude: the division is exact, and it keeps the squares and cubes in
-    the float range for every finite conic.
+    refused.  The tests run on the conic times unit_scale, relative to its own
+    coefficients: the imaginary parts against the largest one, the discriminant
+    against the largest quadratic one squared, the determinant against the cube.
     """
-    coeffs = conic.coefficients()
-    scale = max(abs(z) for z in coeffs)
+    unit = unit_scale(conic)
+    coeffs = [z * unit for z in conic]
+    scale = max(map(abs, coeffs))
     if scale == 0:
         raise ValueError("all conic coefficients are zero")
-    if max(abs(z.imag) for z in coeffs) > tol * max(1.0, scale):
+    if max(abs(z.imag) for z in coeffs) > tol * scale:
         raise ComplexCoefficients("classification requires real conic coefficients")
-    unit = math.ldexp(1.0, -math.frexp(scale)[1])  # 2^-e, what 1 becomes
-    A, B, C, D, E, F = (z.real * unit for z in coeffs)
+    A, B, C, D, E, F = (z.real for z in coeffs)
 
     disc = B * B - 4.0 * A * C
-    quad_scale = max(abs(A), abs(B), abs(C))
-    if abs(disc) <= tol * max(unit, quad_scale) ** 2:
+    if abs(disc) <= tol * max(abs(A), abs(B), abs(C)) ** 2:
         discriminant_class = "parabolic"
         disc_zero = True
     else:
@@ -90,7 +95,7 @@ def classify(conic, tol=DEFAULT_TOL):
         - (B / 2.0) * (B * F / 2.0 - E * D / 4.0)
         + (D / 2.0) * (B * E / 4.0 - C * D / 2.0)
     )
-    degenerate = abs(det3) <= tol * (scale * unit) ** 3
+    degenerate = abs(det3) <= tol * scale ** 3
     if not degenerate:
         kind = "none"
     elif disc_zero:
@@ -105,9 +110,9 @@ def solve_for_s(conic, r):
 
     Returns a list of 0, 1 or 2 roots in a deterministic order, the
     ALL_SOLUTIONS sentinel when the equation degenerates to 0 = 0, and
-    raises NoSolution when it degenerates to a nonzero constant.  When the
-    discriminant overflows, the row is divided by a power of two near its
-    largest coefficient, which leaves the roots as they are.
+    raises NoSolution when it degenerates to a nonzero constant.  A row whose
+    discriminant overflows, or whose lin^2 and 4 quad const both fall below the
+    normal range, is first multiplied by its unit_scale, which keeps the roots.
     """
     r = complex(r)
     quad = conic.cC
@@ -119,10 +124,11 @@ def solve_for_s(conic, r):
                 return ALL_SOLUTIONS
             raise NoSolution(f"P({r}, s) = {const} has no root in s")
         return [-const / lin]
-    disc = lin * lin - 4.0 * quad * const
-    if not cmath.isfinite(disc):
-        big = max(abs(x) for z in (quad, lin, const) for x in (z.real, z.imag))
-        unit = math.ldexp(1.0, -math.frexp(big)[1])
+    square, product = lin * lin, 4.0 * quad * const
+    disc = square - product
+    if not cmath.isfinite(disc) or (abs(square.real) < 2.0 ** -1022 > abs(square.imag)
+                                    and abs(product.real) < 2.0 ** -1022 > abs(product.imag)):
+        unit = unit_scale((quad, lin, const))
         quad, lin, const = quad * unit, lin * unit, const * unit
         disc = lin * lin - 4.0 * quad * const
     if disc == 0:
@@ -132,9 +138,7 @@ def solve_for_s(conic, r):
     return [s2, s1] if (s2.real, s2.imag) < (s1.real, s1.imag) else [s1, s2]
 
 
-class ResonanceReport(
-    namedtuple("ResonanceReport", "r0 s0 bound hits nonresonant_up_to", defaults=(0,))
-):
+class ResonanceReport(namedtuple("ResonanceReport", "r0 s0 bound hits nonresonant_up_to")):
     """hits: ((q1, q2), |P(r0+q1, s0+q2)|) pairs in canonical order"""
 
     __slots__ = ()

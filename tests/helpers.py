@@ -273,10 +273,10 @@ def layer_relative_error(series, exact):
 
 # -- reference for the tokenizer ----------------------------------------------
 # The expression tokenizer as it was before it became one regular expression:
-# a scan that skips whitespace by str.isspace and tries a number, then an
-# identifier, then an operator at each position.
+# a scan that skips whitespace by str.isspace and tries a number (of ASCII
+# digits), then an identifier, then an operator at each position.
 
-_NUM_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_NUM_RE = re.compile(r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 

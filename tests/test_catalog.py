@@ -1,10 +1,14 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from frobpde import catalog
 from frobpde.errors import MissingParameter
+from frobpde.expr_parser import parse_expr, to_series
 from frobpde.frobenius import radius_estimate
+from frobpde.indicial import IndicialConic
 from frobpde.verify import residual_max
 from helpers import CATALOG_MODELS
 
@@ -47,6 +51,40 @@ class TestEntryPlumbing:
     def test_normalized_flag(self):
         assert catalog.entry("legendre_I", lam=2).normalized
         assert not catalog.entry("bessel_I", nu=0).normalized
+
+
+LISTED = {e["name"]: e for e in catalog.list_entries()}
+#: k / 1000 for |k| <= 3000: no product of three of them leaves the normal range
+MILLI = st.integers(-3000, 3000).map(lambda k: k / 1000)
+
+
+class TestStoredFacts:
+    """The default point and the conic string stored with each model follow
+    from its equation, whatever the value of its parameter."""
+
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    @given(value=MILLI, r=MILLI, s=MILLI)
+    @example(value=0.5, r=0.3, s=-0.7)
+    @example(value=-1.5, r=0.3, s=-0.7)
+    @settings(max_examples=30, deadline=None)
+    def test_point_and_conic_follow_from_the_equation(self, name, value, r, s):
+        params = {p: value for p in LISTED[name]["params"]}
+        ent = catalog.entry(name, **params)
+        conic = catalog.make_pde(ent, 4).conic()
+        size = IndicialConic(*map(abs, conic))  # its value is the sum of the magnitudes of the terms
+        r0, s0 = catalog.default_point(ent)
+        assert abs(conic.evaluate(r0, s0)) <= 1e-14 * size.evaluate(abs(r0), abs(s0))
+        stored = to_series(parse_expr(LISTED[name]["conic"]), {**params, "r": r, "s": s}, 0)
+        assert abs(stored.constant_term() - conic.evaluate(r, s)) <= 1e-14 * size.evaluate(abs(r), abs(s))
+
+    @pytest.mark.parametrize("nu", [0.5, -0.5, 1.3, 2j, -1.5 + 0.5j])
+    def test_bessel_points_solve(self, nu):
+        # (nu, 0) with Re r >= 0, where P = n(n + 2 nu) on layer n of bessel_I
+        for name in ("bessel_I", "bessel_II"):
+            ent = catalog.entry(name, nu=nu)
+            r0, s0 = catalog.default_point(ent)
+            assert (r0.real, s0) == (abs(complex(nu).real), 0.0)
+            assert agree(name, N=12, nu=nu) < 1e-12
 
 
 class TestClosedFormAgreement:

@@ -1,12 +1,16 @@
 import json
 import math
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 
-from frobpde import errors
+from frobpde import catalog, errors
 from frobpde.cli import load_problem, main
 from frobpde.errors import SchemaError
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write(tmp_path, payload, name="problem.json"):
@@ -179,6 +183,45 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: non-finite coefficient D_(2,0) (layer 2): (inf+nanj)\n"
 
+    @pytest.mark.parametrize("payload, err", [
+        ([1, 2], "problem file must contain a JSON object (at /)"),
+        (dict(BESSEL, params=[1]), "params must be an object (at /params)"),
+        (dict(BESSEL, a=1), "a must be an expression string (at /a)"),
+        (dict(BESSEL, tolerances=1e-9), "tolerances must be an object (at /tolerances)"),
+    ], ids=["not-an-object", "params", "a", "tolerances"])
+    def test_problem_file_refused(self, tmp_path, capsys, payload, err):
+        assert main(["solve", write(tmp_path, payload)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+    def test_auto_point_search_exhausted(self, tmp_path, capsys):
+        # r = 0 has no root s; at every other candidate r the root is
+        # -1e300 / (1e-310 r), beyond the float range, so the point is not on
+        # the conic; so the search refuses
+        payload = dict(BESSEL, B=1e-310, C=0, b="0", c="1e300", point="auto", order=4)
+        assert main(["solve", write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "refused: auto point search found no nonresonant conic point\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["catalog", "solve", "bessel_I", "--param", "nu"], "--param needs name=value, got 'nu' (at /params)"),
+        (["catalog", "solve", "bessel_I", "--param", "nu=a"], "cannot parse number 'a' (at /params/nu)"),
+        (["catalog", "solve", "bessel_I", "--param", "nu=0", "--point", "0"],
+         '--point needs "r,s" or "auto" (at /point)'),
+        (["catalog", "solve", "bessel_I", "--param", "nu=0", "--point", "a,b"],
+         "cannot parse number 'a' (at /point/0)"),
+        (["transform", "euler-coordinates", "1", "0", "0", "1", "x", "0"], "cannot parse number 'x' (at E)"),
+        (["transform", "euler-coordinates", "1", "0", "0"],
+         "euler-coordinates needs six coefficients A B C D E F (at /)"),
+        (["transform", "prepare-coordinates", "--A", "1+x"],
+         "prepare-coordinates needs --A and --C expressions (at /)"),
+    ], ids=["param-no-equals", "param-value", "point-one-part", "point-value", "euler-coordinates-value",
+            "euler-coordinates-count", "prepare-coordinates-C"])
+    def test_argument_refused(self, capsys, argv, err):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
 
 class TestSolveOutput:
     def test_json_payload(self, tmp_path, capsys):
@@ -271,6 +314,33 @@ class TestOtherSubcommands:
         assert json.loads(captured.out)["class"] == {"discriminant_class": "parabolic", "degenerate": True,
                                                      "degenerate_kind": "parallel_or_repeated_lines"}
 
+    @pytest.mark.parametrize("value, plain", [("-1e-3", "-0.001"), ("-1.5E+2", "-150"), ("-1.", "-1")])
+    @pytest.mark.parametrize("command", [["euler"], ["transform", "euler-coordinates"]])
+    def test_negative_number_with_an_exponent(self, capsys, command, value, plain):
+        # argparse alone would read -1e-3 as an option
+        assert main([*command, "1", "0", "0", "1", value, "0"]) == 0
+        out = capsys.readouterr().out
+        assert main([*command, "1", "0", "0", "1", plain, "0"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_solve_times_2_600(self, tmp_path, capsys):
+        # the golden Bessel problem with A, B, C, a, b, c times 2^600 prints
+        # the same stdout: |B|^2 in the convergence report used to overflow
+        k = 2.0 ** 600
+        problem = json.loads((GOLDEN / "problems" / "bessel.json").read_text())
+        problem.update({m: k * problem[m] for m in "ABC"}, **{m: f"{k!r}*({problem[m]})" for m in "abc"})
+        assert main(["solve", write(tmp_path, problem)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "expected" / "bessel.solve.out").read_text()
+
+    def test_euler_times_2_minus_1000(self, capsys):
+        # lin^2 and 4 quad const underflow to 0 unless solve_for_s rescales
+        k = repr(2.0 ** -1000)
+        assert main(["euler", k, "0", k, "0", "0", k]) == 0
+        scaled = json.loads(capsys.readouterr().out)
+        assert main(["euler", "1", "0", "1", "0", "0", "1"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert (scaled["class"], scaled["monomial_exponents"]) == (plain["class"], plain["monomial_exponents"])
+
     def test_catalog_list(self, capsys):
         assert main(["catalog", "list"]) == 0
         names = [e["name"] for e in json.loads(capsys.readouterr().out)]
@@ -283,6 +353,15 @@ class TestOtherSubcommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["coeffs"][1][:3] == [2, 0, -0.25]
+
+    def test_catalog_solve_bessel_default_point(self, capsys):
+        # the default point of bessel_I at nu = 0.5 is (0.5, 0), on its conic
+        assert main(["catalog", "solve", "bessel_I", "--param", "nu=0.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["r0"], payload["s0"]) == ([0.5, 0], [0, 0])
+        ent = catalog.entry("bessel_I", nu=0.5)
+        for q1, q2, re, im in payload["coeffs"]:
+            assert complex(re, im) == pytest.approx(catalog.closed_form_coeff(ent, 0.5, 0, (q1, q2)), rel=1e-13)
 
     def test_catalog_missing_param(self, capsys):
         assert main(["catalog", "solve", "bessel_I"]) == 1

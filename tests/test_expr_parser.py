@@ -105,6 +105,12 @@ class TestErrors:
         with pytest.raises(ExprSyntaxError):
             parse_expr("1 1 +")
 
+    @pytest.mark.parametrize("text", ["\u0663x^\u0662", "\uff11 + x"])  # Arabic-Indic 3 and 2, fullwidth 1
+    def test_number_literals_are_ascii(self, text):
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as info:
+            parse_expr(text)
+        assert (info.value.line, info.value.column) == (1, 1)
+
 
 #: digits (one of them not ASCII), the literal characters . e E, letters,
 #: operators, ASCII and Unicode whitespace, and characters that start no token

@@ -4,7 +4,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frobpde import catalog
@@ -57,6 +57,16 @@ class TestConvergenceReport:
     def test_heat_has_none(self):
         rep = convergence_report(1, 0, 0)
         assert not rep.any
+
+    @given(
+        st.lists(st.builds(complex, st.integers(-20, 20), st.integers(-20, 20)), min_size=3, max_size=3),
+        st.integers(-1000, 1000),
+    )
+    @example([1, 0, 1], -664)  # Laplace at about 1e-200: not parabolic of real type
+    @example([1, 2, 1], 600)  # |B|^2 overflows unless the test is scaled
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scale_invariance(self, ABC, j):
+        assert convergence_report(*(2.0 ** j * v for v in ABC)) == convergence_report(*ABC)
 
     def test_json(self):
         sol = solve(make_pde(1, 2, 1, "1", "1", "x^2"), 0, 0, 4)

@@ -15,6 +15,7 @@ from frobpde.indicial import (
     classify,
     resonance_scan,
     solve_for_s,
+    unit_scale,
 )
 
 
@@ -108,15 +109,31 @@ class TestClassify:
 
     @given(
         st.lists(st.integers(-20, 20), min_size=6, max_size=6).filter(lambda c: max(map(abs, c[:3])) >= 1),
-        st.integers(0, 1000),
+        st.integers(-1000, 1000),
     )
     @example([1, 0, -1, 0, 0, 0], 1000)  # two crossing lines
     @example([1, 2, 1, 2, 2, 1], 1000)  # a repeated line
     @example([1, 0, 1, -1, -1, 1], 600)  # the conic of `euler 1 0 1 0 0 1`
+    @example([1, 0, 1, -1, -1, 1], -1000)
+    @example([0, 1, 0, 0, 0, 0], -15)  # rs: a hyperbola, not a parabola
+    @example([0, 0, 1, 0, 0, 0], -513)  # squares of 2^513 overflow
     @settings(max_examples=100, deadline=None)
     def test_power_of_two_scale_invariance(self, coeffs, j):
-        # products of coefficients near 2^1000 overflow unless the test is scaled
+        # products of coefficients near 2^1000 overflow, and near 2^-1000
+        # underflow, unless the test is scaled; no test has an absolute floor
         assert classify(conic(*(2.0 ** j * v for v in coeffs))) == classify(conic(*coeffs))
+
+    @pytest.mark.parametrize("numbers, unit", [
+        ([0.0, 0j], 1.0), ([0.75, -0.5], 1.0), ([3, 1], 0.25), ([0.5, 8j - 1], 2.0 ** -4),
+        ([2.0 ** -1022], 2.0 ** 1021), ([5e-324], 2.0 ** 1023),
+    ])
+    def test_unit_scale(self, numbers, unit):
+        assert unit_scale(numbers) == unit
+
+    def test_subnormal_conic(self):
+        # the unit stops at 2^1023, so a subnormal conic is classified, not overflowed
+        tiny = 2.0 ** -1070
+        assert classify(conic(tiny, 0, tiny, 0, 0, 0)) == classify(conic(1, 0, 1, 0, 0, 0))
 
     def test_swap_invariance(self):
         # swapping (r, s) maps (A,B,C,D,E,F) -> (C,B,A,E,D,F); class is unchanged
@@ -153,6 +170,26 @@ class TestSolveForS:
 
     def test_all_solutions_sentinel(self):
         assert solve_for_s(conic(1, 0, 0, 0, 0, -4), 2) is ALL_SOLUTIONS
+
+    @given(
+        st.lists(st.integers(-20, 20), min_size=6, max_size=6),
+        st.integers(-5, 5),
+        st.integers(-1000, 1000),
+    )
+    @example([1, 0, 1, -1, -1, 1], 0, -1000)  # lin^2 and 4 quad const underflow to 0
+    @example([1, 0, 1, -1, -1, 1], 0, 1000)  # and overflow
+    @example([1, 2, 1, 0, 0, 0], 3, -700)  # a Laguerre row: lin^2 = 4 quad const exactly
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scale_invariance(self, coeffs, r, j):
+        # the roots of 2^j P(r, s) are those of P(r, s), bit for bit
+        def roots(c):
+            try:
+                found = solve_for_s(c, r)
+            except NoSolution:
+                return "none"
+            return "all" if found is ALL_SOLUTIONS else [(z.real.hex(), z.imag.hex()) for z in found]
+
+        assert roots(conic(*(2.0 ** j * v for v in coeffs))) == roots(conic(*coeffs))
 
 
 class TestResonanceScan:

@@ -1,6 +1,5 @@
 """The result and input records: validation on construction, immutability,
-the default of ResonanceReport.nonresonant_up_to, a pinned repr and the JSON
-form the CLI writes."""
+a pinned repr and the JSON form the CLI writes."""
 
 import json
 
@@ -25,7 +24,7 @@ PDE = RegularSingularPDE(1, 2, 1, series("1"), series("1"), series("x^2"))
 RECORDS = [
     (IndicialConic(1 + 0j, 0j, 1, 0, 0, -25), "cF"),
     (ConicClass("elliptic", False, "none"), "degenerate"),
-    (ResonanceReport(0j, 0j, 4, ()), "hits"),
+    (ResonanceReport(0j, 0j, 4, (), 4), "hits"),
     (PDE, "A"),
     (ConvergenceReport(True, False, False, True), "general_sufficient"),
     (EulerPDE(1, 0, 0, 1, -1, 0), "F"),
@@ -76,8 +75,3 @@ PLAIN = [r for r, _ in RECORDS if not isinstance(r, (RegularSingularPDE, Problem
 @pytest.mark.parametrize("record", PLAIN, ids=[type(r).__name__ for r in PLAIN])
 def test_cli_writes_a_record_as_an_object_of_its_fields(record):
     assert list(json.loads(_dump(record))) == list(record._fields)
-
-
-def test_nonresonant_up_to_defaults_to_zero():
-    assert ResonanceReport(0j, 0j, 4, ()).nonresonant_up_to == 0
-    assert ResonanceReport(0j, 0j, 4, (), 3).nonresonant_up_to == 3

@@ -113,7 +113,7 @@ class TestResidualMax:
         assert residual_max(pde, sol).max_residual < 1e-12
         coeffs = dict(sol.coeffs)
         coeffs[(15, 0)] = sol.get((15, 0)) + 1e-3
-        bad = FrobeniusSolution(sol.r0, sol.s0, N, coeffs, sol.resonance_certificate)
+        bad = FrobeniusSolution(sol.r0, sol.s0, N, coeffs, sol.resonance_certificate, sol.convergence)
         assert residual_max(pde, bad).max_residual > 1e-6
 
 
