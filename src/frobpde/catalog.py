@@ -126,11 +126,13 @@ class CatalogEntry(namedtuple("CatalogEntry", "name params normalized")):
     __slots__ = ()
 
 
-def _params(spec):
+@lru_cache(maxsize=None)
+def _params(name):
     """The identifiers of the model's A, B, C, a, b, c other than x, y and i,
-    in order of first appearance."""
+    in order of first appearance, read once per model."""
+    spec = _SPECS[name]
     tokens = [t for text in spec["ABC"] + spec["abc"] for t in _tokenize(text)]
-    return list(dict.fromkeys(t.text for t in tokens if t.kind == "ident" and t.text not in ("x", "y", "i")))
+    return tuple(dict.fromkeys(t.text for t in tokens if t.kind == "ident" and t.text not in ("x", "y", "i")))
 
 
 def _normalized(spec):
@@ -142,7 +144,7 @@ def entry(name, **params):
     """Build a CatalogEntry, validating its parameter set."""
     if name not in _SPECS:
         raise ValueError(f"unknown catalog entry {name!r}; known: {', '.join(NAMES)}")
-    names = _params(_SPECS[name])
+    names = _params(name)
     missing = [p for p in names if p not in params]
     if missing:
         raise MissingParameter(f"{name} needs parameter(s): {', '.join(missing)}")
@@ -156,7 +158,7 @@ def entry(name, **params):
 def list_entries():
     """Name, required parameters and normalization flag for every model."""
     return [
-        {"name": name, "params": _params(spec), "normalized": _normalized(spec), "conic": spec["conic"]}
+        {"name": name, "params": list(_params(name)), "normalized": _normalized(spec), "conic": spec["conic"]}
         for name, spec in _SPECS.items()
     ]
 

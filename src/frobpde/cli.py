@@ -373,8 +373,9 @@ class _CLIUsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads -1e-3 as an option; no option name starts with a digit or a dot
-        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+        # argparse reads -1e-3 and the pair -0.5,0 as options; no option name
+        # starts with a digit or a dot
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?:,.*)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -158,6 +158,7 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
         )
 
     scale = 1.0
+    cA, cB, cC, cD, cE, cF = conic
 
     def divide(q1, q2, e):
         nonlocal scale
@@ -170,7 +171,8 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
                 "solution with this exponent pair",
                 certificate.hits,
             )
-        d = -e / conic.evaluate(r0 + q1, s0 + q2)
+        r, s = r0 + q1, s0 + q2  # P(r, s) as conic.evaluate sums it, without the call
+        d = -e / (cA * r * r + cB * r * s + cC * s * s + cD * r + cE * s + cF)
         if abs(d) > scale:
             scale = abs(d)
         return d

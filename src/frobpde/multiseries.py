@@ -202,6 +202,13 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
     Zero coefficients are not stored, and the first one that overflows to
     inf or nan is refused with ValueError.
     """
+    if any(m[2] for m in support):  # the pieces of T for each q1 and q2, summed as in T
+        A, B, C = symbol
+        ps = [i + r for i in range(order + 1)]
+        qs = [j + s for j in range(order + 1)]
+        Ap = [A * p * (p - 1) for p in ps]
+        Bp = [B * p for p in ps]
+        Cq = [C * q * (q - 1) for q in qs]
     rows = [[(0, d0)]]  # rows[n]: (q1, D_Q) of the nonzero D_Q of layer n, ascending q1
     for n in range(1, order + 1):
         rhs = {}  # q1 -> e_Q of layer n
@@ -210,10 +217,9 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
             if k < 0:
                 break
             if tm:
-                A, B, C = symbol
                 for i, d in rows[k]:
-                    p, q = i + r, k - i + s
-                    w = tm * (A * p * (p - 1) + B * p * q + C * q * (q - 1)) + p * am + q * bm + cm
+                    p, q = ps[i], qs[k - i]
+                    w = tm * (Ap[i] + Bp[i] * q + Cq[k - i]) + p * am + q * bm + cm
                     rhs[i + m1] = rhs.get(i + m1, 0j) + w * d
             else:
                 for i, d in rows[k]:

@@ -48,6 +48,15 @@ class TestEntryPlumbing:
         with pytest.raises(ValueError):
             catalog.make_pde(catalog.entry("airy_I"), 2)
 
+    def test_list_entries_are_fresh(self):
+        # the parameter names are read once per model; callers get copies
+        first = catalog.list_entries()
+        index = next(i for i, e in enumerate(first) if e["name"] == "legendre_II")
+        first[index]["params"].append("extra")
+        first[index]["params"].remove("lam")
+        assert catalog.list_entries()[index]["params"] == ["lam"]
+        assert catalog.entry("legendre_II", lam=0.7).params == (("lam", 0.7 + 0j),)
+
     def test_normalized_flag(self):
         assert catalog.entry("legendre_I", lam=2).normalized
         assert not catalog.entry("bessel_I", nu=0).normalized

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from datetime import datetime, timedelta
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from frobpde import catalog, errors
+from frobpde import catalog, cli, errors
 from frobpde.cli import load_problem, main
 from frobpde.errors import SchemaError
 
@@ -362,6 +363,27 @@ class TestOtherSubcommands:
         ent = catalog.entry("bessel_I", nu=0.5)
         for q1, q2, re, im in payload["coeffs"]:
             assert complex(re, im) == pytest.approx(catalog.closed_form_coeff(ent, 0.5, 0, (q1, q2)), rel=1e-13)
+
+    @pytest.mark.parametrize("point", ["-0.3,0", "-0.3,-0", "-3e-1,0j"])
+    def test_catalog_solve_negative_point(self, capsys, point):
+        # argparse alone would read a pair that starts with "-" as an option
+        argv = ["catalog", "solve", "bessel_I", "--param", "nu=0.3", "--order", "8"]
+        assert main([*argv, "--point", point]) == 0
+        out = capsys.readouterr().out
+        assert main([*argv, f"--point={point}"]) == 0
+        assert capsys.readouterr().out == out
+        assert json.loads(out)["r0"] == [-0.3, 0]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["catalog", "solve", "--help"]])
+    def test_help_unchanged_by_the_negative_number_pattern(self, capsys, monkeypatch, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        ours = capsys.readouterr().out
+        monkeypatch.setattr(cli._ArgumentParser, "__init__", argparse.ArgumentParser.__init__)
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert capsys.readouterr().out == ours
+        assert ours.startswith("usage: frobpde")
 
     def test_catalog_missing_param(self, capsys):
         assert main(["catalog", "solve", "bessel_I"]) == 1

@@ -1,8 +1,10 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobpde import catalog
@@ -56,6 +58,26 @@ def operator_cases(draw):
     return pde, draw(NUMBERS), draw(NUMBERS), S
 
 
+def table_case(texts, keys, r0=0.5 - 0.25j, s0=-1.5):
+    """An operator case on the PDE with a, b, c = texts and a table with a
+    value at each of the keys: the values vary in sign and size, and every
+    fifth has real part -0.0."""
+    keys = list(keys)
+    M = max(q1 + q2 for q1, q2 in keys)
+    pde = RegularSingularPDE(1.5, -0.5 + 1j, 2, *(to_series(parse_expr(t), {}, M) for t in texts))
+    S = CSeries2(M, {(q1, q2): complex(-0.0 if k % 5 == 0 else (q1 - 2.5 * q2) / 7, (-1) ** k / (1 + k))
+                     for k, (q1, q2) in enumerate(keys)})
+    return pde, r0, s0, S
+
+
+RAY = table_case(["1/(1 - x)", "x/(2 - y)", "x^2 - 0.25"], [(k, 0) for k in range(31)])
+LATTICE = table_case(["1 + x*y", "3*x - y^2 + 0.5*x*y", "1/(1 - x - y)^2"],
+                     [(q1, n - q1) for n in range(13) for q1 in range(n + 1)])
+# q = (1 - x*y)(1 - x) and q a = (2 + y)(1 - x) have several monomials each
+SEVERAL = table_case(["(2 + y)/(1 - x*y)", "1/(1 - x)", "0.5/(3 - x) - 0.25/(0.5 - x^2)"],
+                     [(q1, n - q1) for n in range(9) for q1 in range(0, n + 1, 2)], r0=2j, s0=0.75)
+
+
 class TestApplyOperator:
     def test_conic_on_monomial(self):
         # applying L to x^r y^s alone returns P(r+q1, s+q2) at each index
@@ -81,6 +103,9 @@ class TestApplyOperator:
             apply_operator(pde, 0, 0, {(5, 0): 1.0})
 
     @given(operator_cases())
+    @example(RAY)
+    @example(LATTICE)
+    @example(SEVERAL)
     @settings(max_examples=150, deadline=None)
     def test_equals_the_docstring_formula(self, case):
         # value for value, not approximately: the summation order is pinned
@@ -155,3 +180,22 @@ class TestEvalSolution:
         sol = solve(BESSEL, 0, 0, 12)
         with pytest.raises(ValueError):
             eval_solution(sol, -0.5, 0.5)
+
+
+class TestIndependentOfTheEngine:
+    def test_imports(self):
+        # the residual check shares nothing with the recurrence it checks:
+        # no layer sweep, no resonance scan, no precomputed P
+        tree = ast.parse((Path(__file__).parent.parent / "src" / "frobpde" / "verify.py").read_text())
+        relative, absolute = {}, []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                relative.setdefault(node.module, set()).update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                absolute.append(node.module)
+            elif isinstance(node, ast.Import):
+                absolute += [alias.name for alias in node.names]
+        assert not [m for m in absolute if m.split(".")[0] == "frobpde"]
+        assert relative["multiseries"] == {"CSeries2", "norm"}
+        assert relative["frobenius"] == {"radius_estimate"}
+        assert "indicial" not in relative and "indicial" not in relative.get(None, ())
