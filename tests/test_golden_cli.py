@@ -1,5 +1,7 @@
 """Golden CLI outputs: the stdout and exit code of `cli.main` for every
 subcommand, compared byte for byte with the files in tests/golden/expected.
+The help and usage cases pin stderr too, in `<case>.err`, with argparse
+wrapping its help at COLUMNS=80.
 
 The problem files live in tests/golden/problems.  To regenerate the
 expected files after an intended change of output, run
@@ -9,6 +11,7 @@ expected files after an intended change of output, run
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -71,6 +74,30 @@ def _cases():
 
 CASES = _cases()
 
+#: help and usage cases; "x.json" is never opened, since parsing fails first
+USAGE_CASES = {
+    "usage.help": ["--help"],
+    "usage.h": ["-h"],
+    "usage.none": [],
+    "usage.bogus": ["bogus"],
+    "usage.bogus_option": ["--bogus"],
+    **{f"usage.help_{command.replace('-', '_')}": [command, "--help"]
+       for command in ("classify", "solve", "scan-resonance", "euler", "catalog", "verify", "transform", "radius")},
+    "usage.help_catalog_list": ["catalog", "list", "--help"],
+    "usage.help_catalog_solve": ["catalog", "solve", "--help"],
+    "usage.catalog": ["catalog"],
+    "usage.catalog_bogus": ["catalog", "bogus"],
+    "usage.catalog_solve": ["catalog", "solve"],
+    "usage.catalog_list_bogus_option": ["catalog", "list", "--bogus"],
+    "usage.catalog_solve_order_not_int": ["catalog", "solve", "bessel_I", "--order", "x"],
+    "usage.solve": ["solve"],
+    "usage.solve_bogus_option": ["solve", "x.json", "--bogus"],
+    "usage.solve_format_xml": ["solve", "x.json", "--format", "xml"],
+    "usage.euler_two_numbers": ["euler", "1", "2"],
+    "usage.transform_bogus": ["transform", "bogus"],
+    "usage.classify_meta_bogus_option": ["classify", "x.json", "--meta", "--bogus"],
+}
+
 
 def _argv(argv):
     return [str(PROBLEMS / a) if a.endswith(".json") else a for a in argv]
@@ -84,6 +111,17 @@ def run_case(name):
     return code, out.getvalue()
 
 
+def run_usage_case(name):
+    """(exit status, stdout, stderr) of one usage case; --help ends in SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(USAGE_CASES[name])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name):
     code, got = run_case(name)
@@ -91,13 +129,29 @@ def test_golden(name):
     assert got.encode("utf-8") == (EXPECTED / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_golden_usage(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_usage_case(name)
+    assert code == json.loads(CODES.read_text())[name]
+    assert out.encode("utf-8") == (EXPECTED / f"{name}.out").read_bytes()
+    assert err.encode("utf-8") == (EXPECTED / f"{name}.err").read_bytes()
+
+
 def test_no_stale_expected_files():
-    assert {p.stem for p in EXPECTED.glob("*.out")} == set(CASES)
+    assert {p.stem for p in EXPECTED.glob("*.out")} == set(CASES) | set(USAGE_CASES)
+    assert {p.stem for p in EXPECTED.glob("*.err")} == set(USAGE_CASES)
+    assert set(json.loads(CODES.read_text())) == set(CASES) | set(USAGE_CASES)
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
     codes = {}
     for case in sorted(CASES):
         codes[case], stdout = run_case(case)
         (EXPECTED / f"{case}.out").write_bytes(stdout.encode("utf-8"))
+    for case in sorted(USAGE_CASES):
+        codes[case], stdout, stderr = run_usage_case(case)
+        (EXPECTED / f"{case}.out").write_bytes(stdout.encode("utf-8"))
+        (EXPECTED / f"{case}.err").write_bytes(stderr.encode("utf-8"))
     CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
