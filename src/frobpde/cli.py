@@ -52,15 +52,16 @@ def _dump(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_json(obj):
-    sys.stdout.write(_dump(obj) + "\n")
-
-
-def _emit_csv(header, rows):
-    """Fixed headers and finite numbers only (a CSeries2 refuses non-finite
-    coefficients and a hit magnitude is below tol), so no field is quoted."""
-    lines = [header] + [[_dump(v) for v in row] for row in rows]
-    sys.stdout.write("".join(",".join(line) + "\n" for line in lines))
+def _emit(args, payload, header=None, rows=None):
+    """Write payload as JSON, or under --format csv the header and rows.  A
+    CSV has fixed headers and finite numbers only (a CSeries2 refuses
+    non-finite coefficients and a hit magnitude is below tol), so no field
+    is quoted."""
+    if getattr(args, "format", "json") == "csv":
+        lines = [header, *([_dump(v) for v in row] for row in rows)]
+        sys.stdout.write("".join(",".join(line) + "\n" for line in lines))
+    else:
+        sys.stdout.write(_dump(payload) + "\n")
 
 
 def _rows(series):
@@ -99,33 +100,27 @@ class ProblemSpec(namedtuple("ProblemSpec", "pde point tol")):
     __slots__ = ()
 
 
-def _is_finite(value):
-    """A real number in the float range (json reads NaN, Infinity and
-    integers of any size)."""
-    return -sys.float_info.max <= value <= sys.float_info.max
+#: the float range; json reads NaN, Infinity and integers of any size
+_MAX = sys.float_info.max
 
 
-def _is_tol(value):
-    """A tolerance is a positive finite number."""
-    return value > 0 and _is_finite(value)
+def _json_number(value, pointer):
+    """A JSON member as a complex: a number or an [re, im] pair, refused at pointer unless finite."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(type(v) in (int, float) and -_MAX <= v <= _MAX for v in parts):
+        raise SchemaError("expected a finite number or [re, im] pair", pointer)
+    return complex(*parts)
 
 
-def _finite(value, pointer):
-    """complex(value) for a float or a string, refused at pointer unless it parses and is finite."""
+def _arg_number(value, pointer):
+    """An argument, a string or a float, as a complex, refused at pointer unless it parses and is finite."""
     try:
         z = complex(value)
     except ValueError:
         raise SchemaError(f"cannot parse number {value!r}", pointer) from None
-    if not (_is_finite(z.real) and _is_finite(z.imag)):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise SchemaError("expected a finite number", pointer)
     return z
-
-
-def _complex_member(value, pointer):
-    parts = value if isinstance(value, list) and len(value) == 2 else [value]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and _is_finite(v) for v in parts):
-        raise SchemaError("expected a finite number or [re, im] pair", pointer)
-    return complex(*parts)
 
 
 _TOP_KEYS = {"A", "B", "C", "a", "b", "c", "params", "point", "order", "tolerances"}
@@ -134,7 +129,10 @@ _TOP_KEYS = {"A", "B", "C", "a", "b", "c", "params", "point", "order", "toleranc
 def load_problem(path):
     """Read, validate and resolve a problem JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise SchemaError("JSON nests too deeply", "") from None
     if not isinstance(raw, dict):
         raise SchemaError("problem file must contain a JSON object", "")
     for key in raw:
@@ -144,12 +142,10 @@ def load_problem(path):
         if key not in raw:
             raise SchemaError(f"missing required member {key!r}", "")
 
-    A = _complex_member(raw["A"], "/A")
-    B = _complex_member(raw["B"], "/B")
-    C = _complex_member(raw["C"], "/C")
+    A, B, C = (_json_number(raw[key], f"/{key}") for key in "ABC")
 
     order = raw["order"]
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+    if type(order) is not int or order < 1:
         raise SchemaError("order must be an integer >= 1", "/order")
 
     params = {}
@@ -157,7 +153,7 @@ def load_problem(path):
         if not isinstance(raw["params"], dict):
             raise SchemaError("params must be an object", "/params")
         for name, value in raw["params"].items():
-            params[name] = _complex_member(value, f"/params/{name}")
+            params[name] = _json_number(value, f"/params/{name}")
 
     series = []
     for key in ("a", "b", "c"):
@@ -166,15 +162,11 @@ def load_problem(path):
             raise SchemaError(f"{key} must be an expression string", f"/{key}")
         series.append(to_series(parse_expr(text), params, order))
 
-    point = "auto"
-    if "point" in raw:
-        p = raw["point"]
-        if p == "auto":
-            point = "auto"
-        elif isinstance(p, list) and len(p) == 2:
-            point = (_complex_member(p[0], "/point/0"), _complex_member(p[1], "/point/1"))
-        else:
+    point = raw.get("point", "auto")
+    if point != "auto":
+        if not (isinstance(point, list) and len(point) == 2):
             raise SchemaError('point must be "auto" or a [r, s] pair', "/point")
+        point = tuple(_json_number(v, f"/point/{i}") for i, v in enumerate(point))
 
     tol = DEFAULT_TOL
     if "tolerances" in raw:
@@ -184,7 +176,7 @@ def load_problem(path):
         for key, value in tols.items():
             if key != "tol":
                 raise SchemaError(f"unknown tolerance {key!r}", f"/tolerances/{key}")
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not _is_tol(value):
+            if type(value) not in (int, float) or not 0 < value <= _MAX:
                 raise SchemaError("tol must be a positive finite number", "/tolerances/tol")
             tol = float(value)
 
@@ -230,7 +222,7 @@ def _resolve_point(spec):
 def _cmd_classify(args):
     conic = load_problem(args.problem).pde.conic()
     result = classify(conic)  # the problem's tol is a resonance tolerance
-    _emit_json({"conic": conic, "class": result})
+    _emit(args, {"conic": conic, "class": result})
 
 
 def _solved(args):
@@ -241,39 +233,31 @@ def _solved(args):
                            resonance_policy=args.resonance_policy)
 
 
-def _emit_solution(sol, fmt):
-    if fmt == "csv":
-        _emit_csv(("q1", "q2", "re", "im"), _rows(sol))
-    else:
-        _emit_json(_solution_json(sol))
+def _emit_solution(args, sol):
+    payload = _solution_json(sol)
+    _emit(args, payload, ("q1", "q2", "re", "im"), payload["coeffs"])
 
 
 def _cmd_solve(args):
-    _emit_solution(_solved(args)[1], args.format)
+    _emit_solution(args, _solved(args)[1])
 
 
 def _cmd_scan(args):
     spec = load_problem(args.problem)
     r0, s0 = _resolve_point(spec)
-    report = resonance_scan(spec.pde.conic(), r0, s0, spec.pde.order, spec.tol)
-    if args.format == "csv":
-        _emit_csv(("q1", "q2", "magnitude"), [(q1, q2, m) for (q1, q2), m in report.hits])
-    else:
-        _emit_json(_scan_json(report))
+    payload = _scan_json(resonance_scan(spec.pde.conic(), r0, s0, spec.pde.order, spec.tol))
+    _emit(args, payload, ("q1", "q2", "magnitude"), payload["hits"])
 
 
 def _cmd_verify(args):
     report = residual_max(*_solved(args))
-    if args.format == "csv":
-        _emit_csv(("layer", "max_abs_residual"), sorted(report.per_layer.items()))
-    else:
-        _emit_json({"residual": report})
+    _emit(args, {"residual": report}, ("layer", "max_abs_residual"), sorted(report.per_layer.items()))
 
 
 def _cmd_radius(args):
     sol = _solved(args)[1]
     estimate = radius_estimate(sol)
-    _emit_json({"r0": sol.r0, "s0": sol.s0, "order": sol.order, "radius_estimate": estimate})
+    _emit(args, {"r0": sol.r0, "s0": sol.s0, "order": sol.order, "radius_estimate": estimate})
 
 
 def _is_integral(z):
@@ -284,9 +268,9 @@ def _is_integral(z):
 def _cmd_euler(args):
     from .euler import EulerPDE, integral_points
 
-    if not _is_tol(args.tol):
+    if not 0 < args.tol <= _MAX:
         raise SchemaError("tol must be a positive finite number", "--tol")
-    coeffs = [_finite(getattr(args, name), name) for name in "ABCDEF"]
+    coeffs = [_arg_number(getattr(args, name), name) for name in "ABCDEF"]
     pde = EulerPDE(*coeffs)
     conic = pde.conic()
     payload = {"conic": conic, "class": classify(conic, args.tol)}
@@ -312,20 +296,20 @@ def _cmd_euler(args):
             except ConstraintViolated:
                 pass
     payload["integral_point_families"] = families
-    _emit_json(payload)
+    _emit(args, payload)
 
 
 def _cmd_catalog_list(args):
     from . import catalog
 
-    _emit_json(catalog.list_entries())
+    _emit(args, catalog.list_entries())
 
 
 def _parse_param(text):
     if "=" not in text:
         raise SchemaError(f"--param needs name=value, got {text!r}", "/params")
     name, _, value = text.partition("=")
-    return name, _finite(value, f"/params/{name}")
+    return name, _arg_number(value, f"/params/{name}")
 
 
 def _cmd_catalog_solve(args):
@@ -338,8 +322,8 @@ def _cmd_catalog_solve(args):
         parts = args.point.split(",")
         if len(parts) != 2:
             raise SchemaError('--point needs "r,s" or "auto"', "/point")
-        r0, s0 = (_finite(p, f"/point/{i}") for i, p in enumerate(parts))
-    _emit_solution(catalog.solve_entry(ent, r0, s0, args.order), args.format)
+        r0, s0 = (_arg_number(p, f"/point/{i}") for i, p in enumerate(parts))
+    _emit_solution(args, catalog.solve_entry(ent, r0, s0, args.order))
 
 
 def _cmd_transform(args):
@@ -348,9 +332,9 @@ def _cmd_transform(args):
             raise SchemaError("euler-coordinates needs six coefficients A B C D E F", "")
         from .euler import euler_coords
 
-        coeffs = [_finite(v, name) for name, v in zip("ABCDEF", args.values)]
+        coeffs = [_arg_number(v, name) for name, v in zip("ABCDEF", args.values)]
         out = euler_coords(coeffs, args.direction)
-        _emit_json({"direction": args.direction, "coefficients": out})
+        _emit(args, {"direction": args.direction, "coefficients": out})
         return
     # prepare-coordinates
     if args.A is None or args.C is None:
@@ -358,7 +342,7 @@ def _cmd_transform(args):
     A_series = to_series(parse_expr(args.A), {}, args.order)
     C_series = to_series(parse_expr(args.C), {}, args.order)  # written in y
     f, g = prepare_coordinates(A_series, C_series)
-    _emit_json({"f": _rows(f), "g": _rows(g)})
+    _emit(args, {"f": _rows(f), "g": _rows(g)})
 
 
 # ---------------------------------------------------------------------------
@@ -382,80 +366,71 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _CLIUsageError(message)
 
 
-def _add_common(parser, fmt=True, solves=False):
-    if solves:
-        parser.add_argument("--resonance-policy", choices=("strict", "skip_removable"), default="strict")
-    if fmt:
-        parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--meta", action="store_true", help="write a timestamped record to stderr")
+_PROBLEM = ("problem", {})
+_POLICY = ("--resonance-policy", {"choices": ("strict", "skip_removable"), "default": "strict"})
+_FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json"})
+
+#: name -> (help, handler or a nested table, arguments in order); each parser
+#: that runs a handler takes --meta after its arguments
+_COMMANDS = {
+    "classify": ("indicial conic and its classification", _cmd_classify, [_PROBLEM]),
+    "solve": ("run the Frobenius recurrence", _cmd_solve, [_PROBLEM, _POLICY, _FORMAT]),
+    "scan-resonance": ("resonance scan at the problem point", _cmd_scan, [_PROBLEM, _FORMAT]),
+    "euler": ("Euler PDE report: conic, class, integral points", _cmd_euler,
+              [*((name, {"type": float}) for name in "ABCDEF"), ("--tol", {"type": float, "default": DEFAULT_TOL})]),
+    "catalog": ("named models", {
+        "list": ("list catalog entries", _cmd_catalog_list, []),
+        "solve": ("solve a catalog entry", _cmd_catalog_solve, [
+            ("name", {}),
+            ("--param", {"action": "append", "metavar": "NAME=VALUE"}),
+            ("--order", {"type": int, "default": 20}),
+            ("--point", {"default": "auto", "help": '"r,s" or "auto" (entry default)'}),
+            _FORMAT,
+        ]),
+    }, []),
+    "verify": ("independent residual check of a solve", _cmd_verify, [_PROBLEM, _POLICY, _FORMAT]),
+    "transform": ("coordinate transforms", _cmd_transform, [
+        ("what", {"choices": ("euler-coordinates", "prepare-coordinates")}),
+        ("values", {"nargs": "*", "help": "six coefficients for euler-coordinates"}),
+        ("--direction", {"choices": ("to_constant", "to_euler"), "default": "to_constant"}),
+        ("--A", {"help": "leading series in x for prepare-coordinates"}),
+        ("--C", {"help": "leading series in y for prepare-coordinates"}),
+        ("--order", {"type": int, "default": 12}),
+    ]),
+    "radius": ("solve and estimate the convergence radius", _cmd_radius, [_PROBLEM, _POLICY]),
+}
 
 
-def build_parser():
+def _add_commands(parser, table, dest, argv):
+    """Add the subparsers of table: only the one that argv[0] names, if it
+    names one, else all of them (for --help and the usage errors).  A lone
+    subparser keeps the usage of all of them with its metavar."""
+    lone = bool(argv) and argv[0] in table
+    sub = parser.add_subparsers(dest=dest, required=True,
+                                metavar="{" + ",".join(table) + "}" if lone else None)
+    for name in [argv[0]] if lone else table:
+        help_text, run, arguments = table[name]
+        p = sub.add_parser(name, help=help_text)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+        if isinstance(run, dict):
+            _add_commands(p, run, f"{name}_command", argv[1:] if lone else [])
+        else:
+            p.add_argument("--meta", action="store_true", help="write a timestamped record to stderr")
+            p.set_defaults(func=run)
+
+
+def build_parser(argv):
+    """The parser of argv, holding only the subparsers that argv names."""
     parser = _ArgumentParser(prog="frobpde", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="indicial conic and its classification")
-    p.add_argument("problem")
-    _add_common(p, fmt=False)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("solve", help="run the Frobenius recurrence")
-    p.add_argument("problem")
-    _add_common(p, solves=True)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("scan-resonance", help="resonance scan at the problem point")
-    p.add_argument("problem")
-    _add_common(p)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("euler", help="Euler PDE report: conic, class, integral points")
-    for name in ("A", "B", "C", "D", "E", "F"):
-        p.add_argument(name, type=float)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    _add_common(p, fmt=False)
-    p.set_defaults(func=_cmd_euler)
-
-    p = sub.add_parser("catalog", help="named models")
-    catsub = p.add_subparsers(dest="catalog_command", required=True)
-    pl = catsub.add_parser("list", help="list catalog entries")
-    _add_common(pl, fmt=False)
-    pl.set_defaults(func=_cmd_catalog_list)
-    ps = catsub.add_parser("solve", help="solve a catalog entry")
-    ps.add_argument("name")
-    ps.add_argument("--param", action="append", metavar="NAME=VALUE")
-    ps.add_argument("--order", type=int, default=20)
-    ps.add_argument("--point", default="auto", help='"r,s" or "auto" (entry default)')
-    _add_common(ps)
-    ps.set_defaults(func=_cmd_catalog_solve)
-
-    p = sub.add_parser("verify", help="independent residual check of a solve")
-    p.add_argument("problem")
-    _add_common(p, solves=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("transform", help="coordinate transforms")
-    p.add_argument("what", choices=("euler-coordinates", "prepare-coordinates"))
-    p.add_argument("values", nargs="*", help="six coefficients for euler-coordinates")
-    p.add_argument("--direction", choices=("to_constant", "to_euler"), default="to_constant")
-    p.add_argument("--A", help="leading series in x for prepare-coordinates")
-    p.add_argument("--C", help="leading series in y for prepare-coordinates")
-    p.add_argument("--order", type=int, default=12)
-    _add_common(p, fmt=False)
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("radius", help="solve and estimate the convergence radius")
-    p.add_argument("problem")
-    _add_common(p, fmt=False, solves=True)
-    p.set_defaults(func=_cmd_radius)
-
+    _add_commands(parser, _COMMANDS, "command", argv)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except _CLIUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -467,7 +442,7 @@ def main(argv=None):
     except (FrobPDEError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "meta", False):
+    if args.meta:
         from datetime import datetime, timezone
 
         stamp = datetime.now(timezone.utc).isoformat()

@@ -5,7 +5,8 @@ identifiers (parameters), `+ - * / ^`, unary minus and parentheses.  `*` may
 be left implicit between a literal or closing paren and a variable/paren,
 e.g. "2x", "lam*(lam+1)x^2", "(1-x)(1+x)".  Precedence, tightest first:
 `^` (right-associative, nonnegative integer exponents up to
-_MAX_EXPONENT) > unary minus > `* /` > `+ -`.
+_MAX_EXPONENT) > unary minus > `* /` > `+ -`.  Nesting is capped at
+_MAX_NESTING levels.
 
 ASTs are plain tuples:
     ("num", float) ("i",) ("var", "x"|"y") ("param", name)
@@ -37,6 +38,11 @@ _BP_POW = 40
 #: f^k as k series products
 _MAX_EXPONENT = 1024
 
+#: deepest nesting, counted as the parser goes: each open call of
+#: parse_expression or parse_exponent is a level, and so is each level of the
+#: tree being built under it; so neither the parser nor the tree walks of
+#: _fraction and pretty come near Python's recursion limit
+_MAX_NESTING = 300
 
 #: kind is "number", "ident", "end" or the operator character itself
 _Token = namedtuple("_Token", "kind text offset")
@@ -68,6 +74,13 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open calls of parse_expression and parse_exponent
+
+    def nest(self, tok, height=0):
+        """height, refused at tok when it and the open calls exceed _MAX_NESTING levels."""
+        if self.depth + height > _MAX_NESTING:
+            _err(self.text, tok.offset, f"expression nests deeper than {_MAX_NESTING} levels")
+        return height
 
     def peek(self):
         return self.tokens[self.pos]
@@ -84,29 +97,36 @@ class _Parser:
         return self.advance()
 
     def parse_expression(self, min_bp=0):
-        node = self.parse_prefix()
+        """(AST, its height) of the expression ahead, as far as its operators bind tighter than min_bp."""
+        self.depth += 1
+        self.nest(self.peek())
+        node, height = self.parse_prefix()
         while True:
             tok = self.peek()
             if tok.kind == "^" and _BP_POW > min_bp:
                 self.advance()
-                node = ("pow", node, self.parse_exponent())
+                node, rhs_height = ("pow", node, self.parse_exponent()), 0
             elif tok.kind in ("*", "/") and _BP_MUL > min_bp:
                 self.advance()
-                rhs = self.parse_expression(_BP_MUL)
+                rhs, rhs_height = self.parse_expression(_BP_MUL)
                 node = ("mul" if tok.kind == "*" else "div", node, rhs)
             elif tok.kind in ("ident", "(") and _BP_MUL > min_bp:
                 # implicit multiplication: "2x", "(1-x)(1+x)", "lam(lam+1)"
-                rhs = self.parse_expression(_BP_MUL)
+                rhs, rhs_height = self.parse_expression(_BP_MUL)
                 node = ("mul", node, rhs)
             elif tok.kind in ("+", "-") and _BP_ADD > min_bp:
                 self.advance()
-                rhs = self.parse_expression(_BP_ADD)
+                rhs, rhs_height = self.parse_expression(_BP_ADD)
                 node = ("add" if tok.kind == "+" else "sub", node, rhs)
             else:
-                return node
+                self.depth -= 1
+                return node, height
+            height = self.nest(tok, max(height, rhs_height) + 1)
 
     def parse_exponent(self):
         tok = self.peek()
+        self.depth += 1
+        self.nest(tok)
         if tok.kind != "number":
             _err(self.text, tok.offset, "exponent must be a nonnegative integer literal", {"number"})
         value = float(tok.text)
@@ -120,24 +140,27 @@ class _Parser:
                 value = value ** self.parse_exponent()  # both at most _MAX_EXPONENT
         if value > _MAX_EXPONENT:
             _err(self.text, tok.offset, f"exponent must be at most {_MAX_EXPONENT}", {"number"})
+        self.depth -= 1
         return value
 
     def parse_prefix(self):
+        """(AST, its height) of a value: a leaf has height 0."""
         tok = self.advance()
         if tok.kind == "number":
-            return ("num", float(tok.text))
+            return ("num", float(tok.text)), 0
         if tok.kind == "ident":
             if tok.text == "i":
-                return ("i",)
+                return ("i",), 0
             if tok.text in ("x", "y"):
-                return ("var", tok.text)
-            return ("param", tok.text)
+                return ("var", tok.text), 0
+            return ("param", tok.text), 0
         if tok.kind == "-":
-            return ("neg", self.parse_expression(_BP_NEG))
+            node, height = self.parse_expression(_BP_NEG)
+            return ("neg", node), height + 1  # within the cap: the operand was one call deeper
         if tok.kind == "(":
-            node = self.parse_expression(0)
+            node_height = self.parse_expression(0)
             self.expect(")")
-            return node
+            return node_height
         _err(
             self.text,
             tok.offset,
@@ -151,7 +174,7 @@ def parse_expr(text):
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0, 1, 1, {"number", "ident", "-", "("})
     parser = _Parser(text)
-    node = parser.parse_expression(0)
+    node, _ = parser.parse_expression(0)
     tok = parser.peek()
     if tok.kind != "end":
         _err(text, tok.offset, f"unexpected trailing input {tok.text!r}", {"end"})
@@ -159,7 +182,9 @@ def parse_expr(text):
 
 
 def pretty(ast):
-    """Render an AST back to text; parse_expr(pretty(t)) == t."""
+    """Render an AST back to text; parse_expr(pretty(t)) == t when the text
+    it writes, with a pair of parentheses per level at most, nests within
+    _MAX_NESTING."""
 
     def render(node, parent_bp):
         kind = node[0]

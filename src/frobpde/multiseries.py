@@ -156,26 +156,22 @@ class CSeries2:
         return total
 
 
-def convolve(f, g, order):
-    """Convolution of the tables f and g ({(q1, q2): v}) up to layer `order`, each
-    coefficient summed from 0j with f outer and g inner; zero sums are kept."""
+def cauchy_mul(f, g):
+    """Full convolution product, truncated at min(order(f), order(g)): each
+    coefficient summed from 0j over the tables in their dict order, f outer
+    and g inner; zero sums are kept until CSeries2 drops them."""
+    order = min(f.order, g.order)
     out = {}
-    for (p1, p2), fv in f.items():
+    for (p1, p2), fv in f.coeffs.items():
         if p1 + p2 > order:
             continue
-        for (r1, r2), gv in g.items():
+        for (r1, r2), gv in g.coeffs.items():
             q1, q2 = p1 + r1, p2 + r2
             if q1 + q2 > order:
                 continue
             key = (q1, q2)
             out[key] = out.get(key, 0j) + fv * gv
-    return out
-
-
-def cauchy_mul(f, g):
-    """Full convolution product, truncated at min(order(f), order(g))."""
-    order = min(f.order, g.order)
-    return CSeries2(order, convolve(f.coeffs, g.coeffs, order))
+    return CSeries2(order, out)
 
 
 # -- the layer sweep ---------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import test_golden_cli as golden
 from frobpde import catalog, cli, errors
 from frobpde.cli import load_problem, main
 from frobpde.errors import SchemaError
@@ -173,6 +174,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: exponent must be at most 1024 at line 1, column {column}\n"
+
+    @pytest.mark.parametrize("a, err", [
+        ("(" * 600 + "1" + ")" * 600, "expression nests deeper than 300 levels at line 1, column 301"),
+        ("-" * 3000 + "1", "expression nests deeper than 300 levels at line 1, column 301"),
+        ("1^" * 3000 + "1", "expression nests deeper than 300 levels at line 1, column 601"),
+        ("+".join(["x"] * 3000), "expression nests deeper than 300 levels at line 1, column 600"),
+    ], ids=["parentheses", "unary-minus", "tower", "sum"])
+    def test_deeply_nested_expression_refused(self, tmp_path, capsys, a, err):
+        # each used to end in a RecursionError traceback
+        assert main(["classify", write(tmp_path, dict(BESSEL, a=a))]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    def test_deeply_nested_json_refused(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(BESSEL)[:-1] + ', "params": {"nu": ' + "[" * 100000 + "]" * 100000 + "}}")
+        assert main(["classify", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: JSON nests too deeply (at /)\n")
 
     def test_usage_error(self, capsys):
         assert main(["solve"]) == 1
@@ -384,6 +402,18 @@ class TestOtherSubcommands:
             main(argv)
         assert capsys.readouterr().out == ours
         assert ours.startswith("usage: frobpde")
+
+    def test_parser_holds_only_the_subcommand_that_runs(self):
+        def choices(parser):
+            return list(parser._subparsers._group_actions[0].choices)
+
+        assert choices(cli.build_parser(["solve", "x.json"])) == ["solve"]
+        assert choices(cli.build_parser(["catalog", "list"])) == ["catalog"]
+        assert choices(cli.build_parser(["catalog", "list"])._subparsers._group_actions[0].choices["catalog"]) == ["list"]
+        full = cli.build_parser([])
+        for argv in golden.CASES.values():
+            argv = golden._argv(argv)
+            assert cli.build_parser(argv).parse_args(argv) == full.parse_args(argv)
 
     def test_catalog_missing_param(self, capsys):
         assert main(["catalog", "solve", "bessel_I"]) == 1

@@ -10,7 +10,7 @@ from frobpde.errors import (
     ExprSyntaxError,
     UnboundParameter,
 )
-from frobpde.expr_parser import _tokenize, parse_expr, pretty, to_series
+from frobpde.expr_parser import _MAX_NESTING, _tokenize, parse_expr, pretty, to_series
 from frobpde.multiseries import CSeries2, cauchy_mul, reciprocal
 from helpers import (
     bits,
@@ -78,6 +78,25 @@ class TestErrors:
     def test_exponent_at_the_cap_accepted(self):
         assert parse_expr("x^2^10") == parse_expr("x^1024") == ("pow", ("var", "x"), 1024)
         assert ev("(1-x/2)^1024", order=3).get((1, 0)) == -512
+
+    @pytest.mark.parametrize("nested", [
+        lambda k: "(" * (k - 1) + "x" + ")" * (k - 1),
+        lambda k: "-" * (k - 1) + "x",
+        lambda k: "x" + "^1" * (k - 1),
+        lambda k: "+".join(["x"] * k),  # each operator is one more level of the tree
+    ], ids=["parentheses", "unary-minus", "tower", "sum"])
+    def test_nesting_at_the_cap_parses_and_one_more_level_is_refused(self, nested):
+        # at the cap the parser, pretty and to_series stay well inside the recursion limit
+        text = nested(_MAX_NESTING)
+        ast = parse_expr(text)
+        assert pretty(ast) and ev(text, order=2)
+        with pytest.raises(ExprSyntaxError, match=f"nests deeper than {_MAX_NESTING} levels"):
+            parse_expr(nested(_MAX_NESTING + 1))
+
+    def test_nesting_refused_at_the_token_that_goes_too_deep(self):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("(" * 600 + "1" + ")" * 600)
+        assert info.value.column == _MAX_NESTING + 1  # the first "(" one level too deep
 
     def test_empty(self):
         with pytest.raises(ExprSyntaxError):
