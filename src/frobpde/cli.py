@@ -101,13 +101,13 @@ class ProblemSpec(namedtuple("ProblemSpec", "pde point tol")):
 
 
 #: the float range; json reads NaN, Infinity and integers of any size
-_MAX = sys.float_info.max
+_FLOAT_MAX = sys.float_info.max
 
 
 def _json_number(value, pointer):
     """A JSON member as a complex: a number or an [re, im] pair, refused at pointer unless finite."""
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
-    if not all(type(v) in (int, float) and -_MAX <= v <= _MAX for v in parts):
+    if not all(type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in parts):
         raise SchemaError("expected a finite number or [re, im] pair", pointer)
     return complex(*parts)
 
@@ -176,7 +176,7 @@ def load_problem(path):
         for key, value in tols.items():
             if key != "tol":
                 raise SchemaError(f"unknown tolerance {key!r}", f"/tolerances/{key}")
-            if type(value) not in (int, float) or not 0 < value <= _MAX:
+            if type(value) not in (int, float) or not 0 < value <= _FLOAT_MAX:
                 raise SchemaError("tol must be a positive finite number", "/tolerances/tol")
             tol = float(value)
 
@@ -268,7 +268,7 @@ def _is_integral(z):
 def _cmd_euler(args):
     from .euler import EulerPDE, integral_points
 
-    if not 0 < args.tol <= _MAX:
+    if not 0 < args.tol <= _FLOAT_MAX:
         raise SchemaError("tol must be a positive finite number", "--tol")
     coeffs = [_arg_number(getattr(args, name), name) for name in "ABCDEF"]
     pde = EulerPDE(*coeffs)
