@@ -10,7 +10,6 @@ resonances on its diagonal support, so its solver runs with the
 "skip_removable" resonance policy.
 """
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 
@@ -18,7 +17,6 @@ from .errors import MissingParameter
 from . import frobenius
 from .expr_parser import _tokenize, parse_expr, to_series
 from .frobenius import RegularSingularPDE
-from .verify import eval_solution
 
 
 def _bessel_point(p):
@@ -333,40 +331,3 @@ def _bespoke_table(name, param, r0, s0, N):
                 )
             d[(q1, q2)] = num / denom
     return d
-
-
-# ---------------------------------------------------------------------------
-# Airy identities against the ordinary Airy series
-# ---------------------------------------------------------------------------
-
-
-def _y2(t):
-    """The second standard Airy ODE solution y2(t) = t + t^4/(3*4) + ...,
-    summed from its own series to the term in t^76."""
-    total = t
-    term = t
-    for n in range(1, 26):
-        term *= t ** 3 / ((3 * n) * (3 * n + 1))
-        total += term
-    return total
-
-
-@lru_cache(maxsize=None)
-def _airy_solution(name):
-    return solve_entry(entry(name), 0.5, 0.5, N=45)
-
-
-def special_relation_check(name, x, y):
-    """|phi(x, y) - stated y2 combination| for the two Airy models."""
-    if not (0 < x < 1 and 0 < y < 1):
-        raise ValueError("identity check expects x, y in (0, 1)")
-    if name == "airy_I_vs_ode":
-        sol = _airy_solution("airy_I")
-        target = math.sqrt(y / x) * _y2(x)
-    elif name == "airy_II_vs_ode":
-        sol = _airy_solution("airy_II")
-        target = (y / x) ** (1.0 / 6.0) * _y2((x * x * y) ** (1.0 / 3.0))
-    else:
-        raise ValueError(f"unknown identity {name!r}")
-    value = eval_solution(sol, x, y, check_domain=False)
-    return abs(value - target)

@@ -283,16 +283,11 @@ def _cmd_euler(args):
     payload["monomial_exponents"] = samples
 
     families = {}
-    A, B, C = coeffs[0], coeffs[1], coeffs[2]
-    if all(_is_integral(z) for z in (A, B, C)):
-        iA, iB, iC = int(A.real), int(B.real), int(C.real)
-        for family, kwargs in (
-            ("elliptic", {"A": iA, "C": iC}),
-            ("parabolic", {"A": iA, "B": iB, "C": iC}),
-            ("hyperbolic", {"A": iA, "B": iB}),
-        ):
+    if all(_is_integral(z) for z in coeffs[:3]):
+        A, B, C = (int(z.real) for z in coeffs[:3])
+        for family in ("elliptic", "parabolic", "hyperbolic"):
             try:
-                families[family] = integral_points(family, **kwargs)
+                families[family] = integral_points(family, A=A, B=B, C=C)
             except ConstraintViolated:
                 pass
     payload["integral_point_families"] = families

@@ -13,9 +13,9 @@ ASTs are plain tuples:
     ("add"|"sub"|"mul"|"div", lhs, rhs) ("neg", e) ("pow", base, int)
 """
 
+import math
 import re
 from collections import namedtuple
-from functools import reduce
 
 from .errors import DivisionBySeriesWithZeroConstantTerm, ExprSyntaxError, UnboundParameter
 from .multiseries import CSeries2, cauchy_mul, reciprocal
@@ -34,8 +34,7 @@ _BP_NEG = 30
 _BP_POW = 40
 
 #: largest exponent, checked before any power is formed: from 2^1024 on a
-#: power of any number of magnitude >= 2 overflows, and to_series forms
-#: f^k as k series products
+#: power of any number of magnitude >= 2 overflows
 _MAX_EXPONENT = 1024
 
 #: deepest nesting, counted as the parser goes: each open call of
@@ -147,7 +146,10 @@ class _Parser:
         """(AST, its height) of a value: a leaf has height 0."""
         tok = self.advance()
         if tok.kind == "number":
-            return ("num", float(tok.text)), 0
+            value = float(tok.text)
+            if math.isinf(value):  # the literal overflows: no sign is part of it
+                _err(self.text, tok.offset, f"number {tok.text} is beyond the float range")
+            return ("num", value), 0
         if tok.kind == "ident":
             if tok.text == "i":
                 return ("i",), 0
@@ -203,8 +205,8 @@ def pretty(ast):
             op = "*" if kind == "mul" else "/"
             text = render(node[1], _BP_MUL - 1) + op + render(node[2], _BP_MUL)
             return f"({text})" if parent_bp >= _BP_MUL else text
-        if kind == "neg":
-            text = "-" + render(node[1], _BP_NEG)
+        if kind == "neg":  # --x, not -(-x): the parser reads both as the same tree
+            text = "-" + render(node[1], 0 if node[1][0] == "neg" else _BP_NEG)
             return f"({text})" if parent_bp >= _BP_NEG else text
         if kind == "pow":
             base = render(node[1], _BP_POW)
@@ -234,6 +236,19 @@ def _times(f, g):
     return f if g is None else g if f is None else cauchy_mul(f, g)
 
 
+def _power(f, k):
+    """f^k by squaring, over the bits of k from the top: about 2 log2(k)
+    products, k up to k = 3, with the bits of 1 f f f one factor at a time,
+    as a product's bits depend on its factors' values, not their zeros' signs."""
+    g = CSeries2.one(f.order)
+    for i, bit in enumerate(f"{k:b}"):
+        if i:  # the top bit squares 1
+            g = cauchy_mul(g, g)
+        if bit == "1":
+            g = cauchy_mul(g, f)
+    return g
+
+
 def _fraction(ast, params, order):
     """(num, den) of truncated polynomials, den(0, 0) = 1 or den None for 1."""
     kind = ast[0]
@@ -252,8 +267,7 @@ def _fraction(ast, params, order):
         return -num, den
     if kind == "pow":
         num, den = _fraction(ast[1], params, order)
-        num = reduce(cauchy_mul, [num] * ast[2], CSeries2.one(order))
-        return num, None if den is None else reduce(cauchy_mul, [den] * ast[2], CSeries2.one(order))
+        return _power(num, ast[2]), None if den is None else _power(den, ast[2])
     if kind not in ("add", "sub", "mul", "div"):
         raise ValueError(f"unknown node kind {kind!r}")
     (n1, d1), (n2, d2) = _fraction(ast[1], params, order), _fraction(ast[2], params, order)

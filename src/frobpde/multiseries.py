@@ -63,10 +63,6 @@ class CSeries2:
         return CSeries2(order, {(0, 0): value})
 
     @staticmethod
-    def zero(order):
-        return CSeries2(order, {})
-
-    @staticmethod
     def one(order):
         return CSeries2(order, {(0, 0): 1.0})
 
@@ -102,9 +98,6 @@ class CSeries2:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.order, frozenset(self.coeffs.items())))
-
     def __repr__(self):
         terms = [f"({q1},{q2}):{v}" for (q1, q2), v in self.items()]
         return f"{type(self).__name__}(order={self.order}, {{{', '.join(terms)}}})"
@@ -127,20 +120,6 @@ class CSeries2:
         if not isinstance(other, CSeries2):
             return NotImplemented
         return self + (-other)
-
-    def scale(self, scalar):
-        z = complex(scalar)
-        return CSeries2(self.order, {Q: z * v for Q, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, CSeries2):
-            return cauchy_mul(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def truncate(self, order):
-        return CSeries2(order, self.coeffs)
 
     def transpose(self):
         """Swap the roles of x and y."""

@@ -102,7 +102,7 @@ def residual_max(pde, solution):
     return ResidualReport(max(per_layer.values()), per_layer, solution.order)
 
 
-def eval_solution(solution, x, y, check_domain=True):
+def eval_solution(solution, x, y):
     """Numeric value x^r0 y^s0 * partial sum at a point with x, y > 0.
 
     Complex exponents use the principal logarithm, exp(r0 ln x + s0 ln y).
@@ -112,7 +112,7 @@ def eval_solution(solution, x, y, check_domain=True):
     """
     if not (x > 0 and y > 0):
         raise ValueError("eval_solution is defined for x > 0 and y > 0 only")
-    if check_domain and solution.order >= 10:
+    if solution.order >= 10:
         rad = radius_estimate(solution)
         if math.isfinite(rad) and max(x, y) >= rad:
             warnings.warn(

@@ -11,6 +11,7 @@ from frobpde.frobenius import radius_estimate
 from frobpde.indicial import IndicialConic
 from frobpde.verify import residual_max
 from helpers import CATALOG_MODELS
+from oracles import special_relation_check
 
 
 def agree(name, pt=None, N=14, tol=1e-12, **params):
@@ -255,16 +256,17 @@ class TestTruncations:
             assert odd == []
 
 
+@pytest.mark.filterwarnings("error")  # the Airy series converge on (0, 1)^2: no domain warning
 class TestSpecialRelations:
     @pytest.mark.parametrize("name", ["airy_I_vs_ode", "airy_II_vs_ode"])
     def test_identity_small(self, name):
         for x, y in [(0.1, 0.1), (0.3, 0.2), (0.5, 0.7), (0.7, 0.4)]:
-            assert catalog.special_relation_check(name, x, y) < 1e-9
+            assert special_relation_check(name, x, y) < 1e-9
 
     def test_unknown_identity(self):
         with pytest.raises(ValueError):
-            catalog.special_relation_check("weber_vs_ode", 0.1, 0.1)
+            special_relation_check("weber_vs_ode", 0.1, 0.1)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            catalog.special_relation_check("airy_I_vs_ode", 1.5, 0.1)
+            special_relation_check("airy_I_vs_ode", 1.5, 0.1)

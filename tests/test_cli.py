@@ -175,6 +175,10 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: exponent must be at most 1024 at line 1, column {column}\n"
 
+    def test_number_beyond_the_float_range_refused(self, tmp_path, capsys):
+        assert main(["solve", write(tmp_path, dict(BESSEL, c="x^2/1e400"))]) == 1
+        assert capsys.readouterr() == ("", "error: number 1e400 is beyond the float range at line 1, column 5\n")
+
     @pytest.mark.parametrize("a, err", [
         ("(" * 600 + "1" + ")" * 600, "expression nests deeper than 300 levels at line 1, column 301"),
         ("-" * 3000 + "1", "expression nests deeper than 300 levels at line 1, column 301"),

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from frobpde.errors import (
     ExprSyntaxError,
     UnboundParameter,
 )
-from frobpde.expr_parser import _MAX_NESTING, _tokenize, parse_expr, pretty, to_series
+from frobpde.expr_parser import _MAX_NESTING, _power, _tokenize, parse_expr, pretty, to_series
 from frobpde.multiseries import CSeries2, cauchy_mul, reciprocal
 from helpers import (
     bits,
@@ -89,7 +90,7 @@ class TestErrors:
         # at the cap the parser, pretty and to_series stay well inside the recursion limit
         text = nested(_MAX_NESTING)
         ast = parse_expr(text)
-        assert pretty(ast) and ev(text, order=2)
+        assert parse_expr(pretty(ast)) == ast and ev(text, order=2)
         with pytest.raises(ExprSyntaxError, match=f"nests deeper than {_MAX_NESTING} levels"):
             parse_expr(nested(_MAX_NESTING + 1))
 
@@ -97,6 +98,13 @@ class TestErrors:
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr("(" * 600 + "1" + ")" * 600)
         assert info.value.column == _MAX_NESTING + 1  # the first "(" one level too deep
+
+    @pytest.mark.parametrize("text, column", [("1e400*x", 1), ("x/1e400", 3), ("2 + 0.5e309", 5)])
+    def test_number_beyond_the_float_range_refused(self, text, column):
+        # 1e400 used to read as inf: x/1e400 came out as the zero series
+        with pytest.raises(ExprSyntaxError, match="is beyond the float range") as info:
+            parse_expr(text)
+        assert (info.value.line, info.value.column) == (1, column)
 
     def test_empty(self):
         with pytest.raises(ExprSyntaxError):
@@ -179,10 +187,22 @@ class TestEvaluation:
         with pytest.raises(DivisionBySeriesWithZeroConstantTerm):
             ev("1/(x+y)")
 
+    def test_power_by_squaring(self):
+        f = ev("(1+x+y)^1024", order=20)
+        assert f.get((20, 0)) == pytest.approx(math.comb(1024, 20), rel=1e-12)
+        assert f.get((10, 10)) == pytest.approx(math.comb(1024, 20) * math.comb(20, 10), rel=1e-12)
+        # up to the cube, the same bits as one factor at a time, signed zeros included
+        g = CSeries2(5, {(0, 0): complex(-0.0, 1.5), (1, 0): complex(0.1, -0.0), (0, 2): -3 + 0.7j})
+        for k in range(4):
+            one_at_a_time = CSeries2.one(5)
+            for _ in range(k):
+                one_at_a_time = cauchy_mul(one_at_a_time, g)
+            assert bits(_power(g, k)) == bits(one_at_a_time)
+
     def test_rational_normalization(self):
         # (1-x^2) * [x^2/(1-x^2)] == x^2 up to the truncation order
         f = ev("x^2/(1-x^2)", order=10)
-        prod = ev("1-x^2", order=10) * f
+        prod = cauchy_mul(ev("1-x^2", order=10), f)
         assert max_abs_diff(prod, ev("x^2", order=10)) < 1e-12
 
 
@@ -226,7 +246,7 @@ class TestProperties:
     def test_product_homomorphism(self, t1, t2):
         params = {"lam": 1.5}
         lhs = to_series(parse_expr(f"({t1}) * ({t2})"), params, 4)
-        rhs = to_series(parse_expr(t1), params, 4) * to_series(parse_expr(t2), params, 4)
+        rhs = cauchy_mul(to_series(parse_expr(t1), params, 4), to_series(parse_expr(t2), params, 4))
         scale = 1 + max((abs(v) for v in rhs.coeffs.values()), default=0.0)
         assert max_abs_diff(lhs, rhs) < 1e-9 * scale
 

@@ -295,7 +295,7 @@ class TestPrepareCoordinates:
         xfprime = CSeries2(order, {(q1, q2): v * q1 for (q1, q2), v in f.coeffs.items()})
         w = f + xfprime
         lhs = cauchy_mul(A_series, cauchy_mul(w, w))
-        rhs = cauchy_mul(f, f).scale(A_series.constant_term())
+        rhs = cauchy_mul(CSeries2.constant(A_series.constant_term(), order), cauchy_mul(f, f))
         return max_abs_diff(lhs, rhs)
 
     def test_constant_input_gives_one(self):

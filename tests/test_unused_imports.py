@@ -2,7 +2,9 @@
 in that module; the names `__init__.py` re-exports are exempt.  Every private
 module-level name of the package is read somewhere in the package.  Every
 parameter default of the package is overridden by some call in the package,
-the tests or the benchmark, so no parameter has only one value."""
+the tests or the benchmark, so no parameter has only one value.  Every
+public function and method of the modules the program runs is read by the
+package or the benchmark, but for a listed few kept by design."""
 
 import ast
 from pathlib import Path
@@ -125,3 +127,74 @@ def test_checker_flags_a_default_no_call_sets():
     )}
     calling = {"b.py": "f(0, 1)\nK(5)\nK().m(w=4)\ng(*args)\n"}
     assert unset_defaults(defining, calling) == [("a.py", "f", "z"), ("a.py", "__init__", "v")]
+
+
+
+#: the modules the program runs, whose public functions and methods must each be read
+RUNTIME = ("multiseries", "expr_parser", "indicial", "frobenius", "verify", "cli")
+
+#: public functions that no code of the package or the benchmark reads, each kept for a reason
+UNREAD_BY_DESIGN = {
+    "pretty": "the inverse of parse_expr, for a reader of the ASTs; the tests pin the round trip",
+    "exp_series": "a series operation on the layer sweep, checked against an exact reference",
+    "sqrt_series": "a series operation on the layer sweep, checked against an exact reference",
+}
+
+
+def unread_public_names(sources, defining):
+    """(module, name) for each public module-level function and public method
+    of a public module-level class in the `defining` modules that no module of
+    `sources` reads.  A function is read by a loaded name, an attribute or an
+    imported name outside its own body; a method only by an attribute
+    outside its own class."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = []  # (name, how, the module-level statement it is read in)
+    for tree in trees.values():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.append((node.id, "name", top))
+                elif isinstance(node, ast.Attribute):
+                    reads.append((node.attr, "attribute", top))
+                elif isinstance(node, ast.alias):
+                    reads.append((node.name, "name", top))
+    unread = []
+    for module in defining:
+        for top in trees[module].body:
+            if isinstance(top, ast.FunctionDef):
+                wanted = [(top.name, ("name", "attribute"))]
+            elif isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                wanted = [(fn.name, ("attribute",)) for fn in top.body if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            for name, hows in wanted:
+                if not name.startswith("_") and not any(
+                        n == name and how in hows and where is not top for n, how, where in reads):
+                    unread.append((module, name))
+    return unread
+
+
+def test_every_public_function_is_read():
+    # the re-exports of __init__.py name a function, they do not run it
+    sources = {p.name: p.read_text() for p in CALLERS
+               if p.parent.name in ("frobpde", "bench") and p.name != "__init__.py"}
+    unread = unread_public_names(sources, [f"{name}.py" for name in RUNTIME])
+    assert {name for _, name in unread} == set(UNREAD_BY_DESIGN)
+
+
+def test_checker_flags_an_unread_public_name():
+    sources = {
+        "a.py": (
+            "def f():\n    return f()\n"
+            "def g():\n    pass\n"
+            "def _h():\n    pass\n"
+            "class K:\n"
+            "    def m(self):\n        return self.m() + self.n()\n"
+            "    def n(self):\n        pass\n"
+            "    def o(self):\n        pass\n"
+            "    def __eq__(self, other):\n        pass\n"
+            "class _P:\n    def p(self):\n        pass\n"
+        ),
+        "b.py": "from a import g\nimport a\nm = 1\na.K().o()\n",
+    }
+    assert unread_public_names(sources, ["a.py"]) == [("a.py", "f"), ("a.py", "m"), ("a.py", "n")]
