@@ -10,6 +10,7 @@ resonances on its diagonal support, so its solver runs with the
 "skip_removable" resonance policy.
 """
 
+import math
 from collections import namedtuple
 from functools import lru_cache
 
@@ -118,7 +119,7 @@ _SPECS = {
 NAMES = tuple(_SPECS)
 
 
-class CatalogEntry(namedtuple("CatalogEntry", "name params normalized")):
+class CatalogEntry(namedtuple("CatalogEntry", "name params")):
     """params: sorted (name, complex value) pairs"""
 
     __slots__ = ()
@@ -133,11 +134,6 @@ def _params(name):
     return tuple(dict.fromkeys(t.text for t in tokens if t.kind == "ident" and t.text not in ("x", "y", "i")))
 
 
-def _normalized(spec):
-    """Whether a, b or c divides: the model was divided by its variable leading factor."""
-    return any("/" in text for text in spec["abc"])
-
-
 def entry(name, **params):
     """Build a CatalogEntry, validating its parameter set."""
     if name not in _SPECS:
@@ -150,13 +146,16 @@ def entry(name, **params):
     if unknown:
         raise ValueError(f"{name} does not take parameter(s): {', '.join(unknown)}")
     bound = tuple(sorted((k, complex(v)) for k, v in params.items()))
-    return CatalogEntry(name, bound, _normalized(_SPECS[name]))
+    return CatalogEntry(name, bound)
 
 
 def list_entries():
-    """Name, required parameters and normalization flag for every model."""
+    """Name, required parameters, normalization flag and conic for every
+    model; a model is normalized when a, b or c divides: it was divided by
+    its variable leading factor."""
     return [
-        {"name": name, "params": list(_params(name)), "normalized": _normalized(spec), "conic": spec["conic"]}
+        {"name": name, "params": list(_params(name)), "normalized": any("/" in t for t in spec["abc"]),
+         "conic": spec["conic"]}
         for name, spec in _SPECS.items()
     ]
 
@@ -193,104 +192,48 @@ def solve_entry(ent, r0=None, s0=None, N=20):
 # ---------------------------------------------------------------------------
 
 
-def _product(factors):
-    value = 1.0 + 0j
-    for f in factors:
-        value *= f
-    return value
+#: each single-ray or diagonal model: its ray (d1, d2), and the factor
+#: D_{k(d1,d2)} / D_{(k-1)(d1,d2)} of step k at sigma = r0 + s0, given the
+#: model's one parameter (None for Airy)
+_RAYS = {
+    "bessel_I": ((2, 0), lambda k, sigma, r0, s0, nu: -1.0 / ((2 * k + sigma) ** 2 - nu * nu)),
+    "bessel_II": ((1, 1), lambda k, sigma, r0, s0, nu: -1.0 / (2.0 * k * (k + sigma))),
+    "airy_I": ((3, 0), lambda k, sigma, r0, s0, _: 1.0 / ((3 * k - 1 + sigma) * (3 * k + sigma))),
+    "airy_II": ((2, 1), lambda k, sigma, r0, s0, _: 1.0 / ((3 * k - 1 + sigma) * (3 * k + sigma))),
+    "hermite_I": ((2, 0), lambda k, sigma, r0, s0, lam: (
+        -(lam - 2 * sigma - 4 * (k - 1)) / ((2 * k + sigma) * (2 * k + sigma - 1)))),
+    "legendre_I": ((2, 0), lambda k, sigma, r0, s0, lam: (
+        ((sigma + 2 * (k - 1)) * (sigma + 2 * (k - 1) + 1) - lam * (lam + 1))
+        / ((2 * k + sigma) * (2 * k + sigma - 1)))),
+    "chebyshev_I": ((2, 0), lambda k, sigma, r0, s0, p: (
+        ((sigma + 2 * (k - 1)) - p) * ((sigma + 2 * (k - 1)) + p)
+        / ((2 * k + sigma) * (2 * k + sigma - 1)))),
+    "laguerre_I": ((1, 0), lambda k, sigma, r0, s0, lam: (k - 1 + sigma - lam) / (k + sigma) ** 2),
+    "laguerre_II": ((1, 1), lambda k, sigma, r0, s0, lam: (2 * k - 2 + sigma - lam) / (2 * k + sigma) ** 2),
+    "disturbed_heat": ((1, 1), lambda k, sigma, r0, s0, a: (k - 1 + r0) / (a * a * (k + r0) ** 2 - (k + s0))),
+}
 
 
 def closed_form_coeff(ent, r0, s0, Q):
     """Independent closed-form value of D_Q at a conic point (r0, s0).
 
-    Single-ray/diagonal models evaluate a finite product; the multi-term
-    models (hermite_II, legendre_II, chebyshev_II) evaluate their bespoke
-    recurrences, independently of the generic engine.  Off-support indices
-    return 0.
+    A single-ray/diagonal model (`_RAYS`) has D_Q = 0 off its ray, and on it,
+    at Q = n (d1, d2), the product of its factors for k = 1..n.  The
+    multi-term models (hermite_II, legendre_II, chebyshev_II) evaluate their
+    bespoke recurrences.  Both are independent of the generic engine.
     """
     q1, q2 = Q
-    if (q1, q2) == (0, 0):
-        return 1.0 + 0j
     r0 = complex(r0)
     s0 = complex(s0)
+    param = ent.params[0][1] if ent.params else None
+    if ent.name in ("hermite_II", "legendre_II", "chebyshev_II"):
+        return _bespoke_table(ent.name, param, r0, s0, q1 + q2).get((q1, q2), 0j)
+    (d1, d2), factor = _RAYS[ent.name]  # a KeyError for a name outside the catalog
+    n = (q1 + q2) // (d1 + d2)
+    if (q1, q2) != (n * d1, n * d2):
+        return 0j
     sigma = r0 + s0
-    name = ent.name
-    params = dict(ent.params)
-
-    if name == "bessel_I":
-        nu = params["nu"]
-        if q2 != 0 or q1 % 2:
-            return 0j
-        n = q1 // 2
-        return _product(-1.0 / ((2 * k + sigma) ** 2 - nu * nu) for k in range(1, n + 1))
-    if name == "bessel_II":
-        if q1 != q2:
-            return 0j
-        n = q1
-        return _product(-1.0 / (2.0 * k * (k + sigma)) for k in range(1, n + 1))
-    if name in ("airy_I", "airy_II"):
-        if name == "airy_I":
-            if q2 != 0 or q1 % 3:
-                return 0j
-            n = q1 // 3
-        else:
-            if q1 != 2 * q2:
-                return 0j
-            n = q2
-        return _product(1.0 / ((3 * k - 1 + sigma) * (3 * k + sigma)) for k in range(1, n + 1))
-    if name == "hermite_I":
-        lam = params["lam"]
-        if q2 != 0 or q1 % 2:
-            return 0j
-        n = q1 // 2
-        return _product(
-            -(lam - 2 * sigma - 4 * (k - 1)) / ((2 * k + sigma) * (2 * k + sigma - 1))
-            for k in range(1, n + 1)
-        )
-    if name == "legendre_I":
-        lam = params["lam"]
-        if q2 != 0 or q1 % 2:
-            return 0j
-        n = q1 // 2
-        return _product(
-            ((sigma + 2 * (k - 1)) * (sigma + 2 * (k - 1) + 1) - lam * (lam + 1))
-            / ((2 * k + sigma) * (2 * k + sigma - 1))
-            for k in range(1, n + 1)
-        )
-    if name == "chebyshev_I":
-        p = params["p"]
-        if q2 != 0 or q1 % 2:
-            return 0j
-        n = q1 // 2
-        return _product(
-            ((sigma + 2 * (k - 1)) - p) * ((sigma + 2 * (k - 1)) + p)
-            / ((2 * k + sigma) * (2 * k + sigma - 1))
-            for k in range(1, n + 1)
-        )
-    if name == "laguerre_I":
-        lam = params["lam"]
-        if q2 != 0:
-            return 0j
-        return _product((k - 1 + sigma - lam) / (k + sigma) ** 2 for k in range(1, q1 + 1))
-    if name == "laguerre_II":
-        lam = params["lam"]
-        if q1 != q2:
-            return 0j
-        return _product(
-            (2 * k - 2 + sigma - lam) / (2 * k + sigma) ** 2 for k in range(1, q1 + 1)
-        )
-    if name == "disturbed_heat":
-        a = params["a"]
-        if q1 != q2:
-            return 0j
-        return _product(
-            (k - 1 + r0) / (a * a * (k + r0) ** 2 - (k + s0)) for k in range(1, q1 + 1)
-        )
-    if name in ("hermite_II", "legendre_II", "chebyshev_II"):
-        key = next(iter(params.values()))
-        table = _bespoke_table(name, key, r0, s0, q1 + q2)
-        return table.get((q1, q2), 0j)
-    raise ValueError(f"no closed form for {name!r}")
+    return math.prod((factor(k, sigma, r0, s0, param) for k in range(1, n + 1)), start=1.0 + 0j)
 
 
 @lru_cache(maxsize=None)

@@ -149,6 +149,8 @@ class _Parser:
             value = float(tok.text)
             if math.isinf(value):  # the literal overflows: no sign is part of it
                 _err(self.text, tok.offset, f"number {tok.text} is beyond the float range")
+            if value == 0 and tok.text.lower().partition("e")[0].strip("0."):  # a nonzero mantissa underflows
+                _err(self.text, tok.offset, f"number {tok.text} is below the float range")
             return ("num", value), 0
         if tok.kind == "ident":
             if tok.text == "i":

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import pytest
@@ -41,6 +43,10 @@ class TestEntryPlumbing:
         with pytest.raises(ValueError):
             catalog.entry("weber")
 
+    def test_oracle_refuses_a_name_outside_the_catalog(self):
+        with pytest.raises(KeyError):
+            catalog.closed_form_coeff(catalog.CatalogEntry("weber", ()), 0.5, 0.5, (2, 0))
+
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
             catalog.entry("airy_I", nu=1)
@@ -59,8 +65,9 @@ class TestEntryPlumbing:
         assert catalog.entry("legendre_II", lam=0.7).params == (("lam", 0.7 + 0j),)
 
     def test_normalized_flag(self):
-        assert catalog.entry("legendre_I", lam=2).normalized
-        assert not catalog.entry("bessel_I", nu=0).normalized
+        listed = {e["name"]: e["normalized"] for e in catalog.list_entries()}
+        assert listed["legendre_I"] is True
+        assert listed["bessel_I"] is False
 
 
 LISTED = {e["name"]: e for e in catalog.list_entries()}
@@ -164,6 +171,60 @@ class TestClosedFormAgreement:
         sol = catalog.solve_entry(ent, r0, s0, 14)
         pde = catalog.make_pde(ent, 14)
         assert residual_max(pde, sol).max_residual < 1e-10
+
+
+class TestOracleBits:
+    """The closed-form values to the bit at a complex point, so that a
+    reassociated factor shows: the agreement gates above allow 1e-12."""
+
+    POINT = (0.3 + 0.2j, -0.1 + 0.4j)
+
+    @pytest.mark.parametrize("name, on_ray, re, im, off_ray", [
+        ("bessel_I", (8, 0), "0x1.287adbfcf5963p-19", "-0x1.1c7bc2166c54bp-18", (7, 0)),
+        ("bessel_II", (4, 4), "0x1.fbff8c7324942p-16", "-0x1.c2391ebd64976p-15", (5, 3)),
+        ("airy_I", (9, 0), "0x1.3e229ad1680a9p-15", "-0x1.484bed5c3b4d5p-15", (8, 1)),
+        ("airy_II", (6, 3), "0x1.3e229ad1680a9p-15", "-0x1.484bed5c3b4d5p-15", (7, 2)),
+        ("hermite_I", (8, 0), "0x1.4748e7b5a0ae4p-9", "0x1.9c18efd8beb6cp-9", (6, 2)),
+        ("legendre_I", (8, 0), "-0x1.092a52c3e12b9p-4", "0x1.b90746436fbe7p-5", (6, 2)),
+        ("chebyshev_I", (8, 0), "-0x1.c2a8e66996708p-6", "0x1.a62420f2ec6a4p-8", (6, 2)),
+        ("laguerre_I", (7, 0), "0x1.622d8538bfd26p-21", "0x1.fbbcdfac8ec34p-21", (6, 1)),
+        ("laguerre_II", (4, 4), "-0x1.f15e22cabd6b6p-17", "0x1.203b9f285d480p-14", (3, 5)),
+        ("disturbed_heat", (4, 4), "0x1.9dbbf21758b0bp-5", "0x1.0e48d4f791259p-5", (4, 3)),
+    ])
+    def test_ray_model_bits(self, name, on_ray, re, im, off_ray):
+        ent = catalog.entry(name, **{p: 0.7 + 0.3j for p in LISTED[name]["params"]})
+        value = catalog.closed_form_coeff(ent, *self.POINT, on_ray)
+        assert (value.real.hex(), value.imag.hex()) == (re, im)
+        zero = catalog.closed_form_coeff(ent, *self.POINT, off_ray)
+        assert (type(zero), zero.real.hex(), zero.imag.hex()) == (complex, "0x0.0p+0", "0x0.0p+0")
+
+
+#: what the generic engine is made of: an oracle that read one of these would check the engine against itself
+ENGINE_NAMES = {"frobenius", "RegularSingularPDE", "to_series", "parse_expr", "_tokenize"}
+
+
+def names_read(node):
+    """The loaded names and the attributes read anywhere under an AST node."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+class TestOracleIndependence:
+    TREE = ast.parse(inspect.getsource(catalog))
+
+    def top(self, name):
+        """The module-level def or assignment of name in catalog.py."""
+        for node in self.TREE.body:
+            if getattr(node, "name", None) == name or name in [t.id for t in getattr(node, "targets", ())]:
+                return node
+
+    @pytest.mark.parametrize("name", ["closed_form_coeff", "_RAYS", "_bespoke_table"])
+    def test_oracle_reads_no_engine_name(self, name):
+        assert names_read(self.top(name)) & ENGINE_NAMES == set()
+
+    def test_checker_sees_the_engine_in_the_solver(self):
+        assert names_read(self.top("make_pde")) & ENGINE_NAMES == {"RegularSingularPDE", "to_series", "parse_expr"}
+        assert names_read(self.top("solve_entry")) & ENGINE_NAMES == {"frobenius"}
 
 
 class TestRadiusStability:

@@ -179,6 +179,10 @@ class TestExitCodes:
         assert main(["solve", write(tmp_path, dict(BESSEL, c="x^2/1e400"))]) == 1
         assert capsys.readouterr() == ("", "error: number 1e400 is beyond the float range at line 1, column 5\n")
 
+    def test_number_below_the_float_range_refused(self, tmp_path, capsys):
+        assert main(["solve", write(tmp_path, dict(BESSEL, c="1e-400*x^2"))]) == 1
+        assert capsys.readouterr() == ("", "error: number 1e-400 is below the float range at line 1, column 1\n")
+
     @pytest.mark.parametrize("a, err", [
         ("(" * 600 + "1" + ")" * 600, "expression nests deeper than 300 levels at line 1, column 301"),
         ("-" * 3000 + "1", "expression nests deeper than 300 levels at line 1, column 301"),

@@ -106,6 +106,17 @@ class TestErrors:
             parse_expr(text)
         assert (info.value.line, info.value.column) == (1, column)
 
+    @pytest.mark.parametrize("text, column", [("1e-400*x", 1), ("x/1e-400", 3), ("2 + 0.5e-330", 5), ("2.4e-324", 1)])
+    def test_number_below_the_float_range_refused(self, text, column):
+        # 1e-400 used to read as 0.0: 1e-400*x came out as the zero series
+        with pytest.raises(ExprSyntaxError, match="is below the float range") as info:
+            parse_expr(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    @pytest.mark.parametrize("text, value", [("0e-400", 0.0), ("0.000", 0.0), ("00.0E+5", 0.0), ("5e-324", 5e-324)])
+    def test_zero_and_the_smallest_subnormal_parse(self, text, value):
+        assert parse_expr(text) == ("num", value)
+
     def test_empty(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("   ")

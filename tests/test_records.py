@@ -30,7 +30,7 @@ RECORDS = [
     (EulerPDE(1, 0, 0, 1, -1, 0), "F"),
     (LatticeLine((0, 0), (1, 1)), "base"),
     (IntegerPointFamily("elliptic", (1, 0, 1, 0, 0, -25), ((5, 0),), ()), "points"),
-    (CatalogEntry("bessel_I", (("nu", 0j),), False), "params"),
+    (CatalogEntry("bessel_I", (("nu", 0j),)), "params"),
     (ResidualReport(0.0, {0: 0.0}, 0), "max_residual"),
     (ProblemSpec(PDE, "auto", 1e-9), "tol"),
 ]
