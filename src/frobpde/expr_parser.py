@@ -68,6 +68,11 @@ def _tokenize(text):
     return tokens
 
 
+def _underflows(text, value):
+    """Whether number literal `text` has a nonzero mantissa but reads as 0.0."""
+    return value == 0 and bool(text.lower().partition("e")[0].strip("0."))
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -130,7 +135,7 @@ class _Parser:
             _err(self.text, tok.offset, "exponent must be a nonnegative integer literal", {"number"})
         value = float(tok.text)
         if value <= _MAX_EXPONENT:
-            if value != int(value):
+            if value != int(value) or _underflows(tok.text, value):
                 _err(self.text, tok.offset, "exponent must be a nonnegative integer literal", {"number"})
             self.advance()
             value = int(value)
@@ -149,7 +154,7 @@ class _Parser:
             value = float(tok.text)
             if math.isinf(value):  # the literal overflows: no sign is part of it
                 _err(self.text, tok.offset, f"number {tok.text} is beyond the float range")
-            if value == 0 and tok.text.lower().partition("e")[0].strip("0."):  # a nonzero mantissa underflows
+            if _underflows(tok.text, value):
                 _err(self.text, tok.offset, f"number {tok.text} is below the float range")
             return ("num", value), 0
         if tok.kind == "ident":

@@ -104,10 +104,10 @@ def convergence_report(A, B, C):
 
 class FrobeniusSolution(CSeries2):
     """x^r0 y^s0 sum D_Q x^q1 y^q2: the coefficient series (D_{0,0} = 1) with
-    its exponent pair, the resonance scan it was solved under and the
-    convergence report of its leading coefficients."""
+    its exponent pair, the resonance scan it was solved under, the convergence
+    report of its leading coefficients and, once made, its radius_estimate."""
 
-    __slots__ = ("r0", "s0", "resonance_certificate", "convergence")
+    __slots__ = ("r0", "s0", "resonance_certificate", "convergence", "_radius")
 
     def __init__(self, r0, s0, order, coeffs, resonance_certificate, convergence):
         super().__init__(order, coeffs)
@@ -115,6 +115,7 @@ class FrobeniusSolution(CSeries2):
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "resonance_certificate", resonance_certificate)
         object.__setattr__(self, "convergence", convergence)
+        object.__setattr__(self, "_radius", None)
 
 
 def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
@@ -216,8 +217,13 @@ def radius_estimate(sol, order=None):
     Returns the +inf sentinel when every top-half layer vanishes or the rate
     is zero or underflows, and 0.0 when it overflows.  Accepts a CSeries2
     (a FrobeniusSolution is one) or a plain {(q1, q2): coefficient} table,
-    truncated at `order` (default: its highest layer).
+    truncated at `order` (default: its highest layer, the estimate that a
+    FrobeniusSolution keeps).
     """
+    if isinstance(sol, FrobeniusSolution) and order is None:
+        if sol._radius is None:  # with an order given, this call skips the cache
+            object.__setattr__(sol, "_radius", radius_estimate(sol, sol.order))
+        return sol._radius
     if not isinstance(sol, CSeries2):
         if order is None:
             order = max((q1 + q2 for q1, q2 in sol), default=0)

@@ -10,13 +10,14 @@ from .multiseries import index_key
 #: resonance / on-conic tolerance (absolute)
 DEFAULT_TOL = 1e-9
 
-#: rounding allowance m of the resonance scan, far above the few unit
-#: roundoffs of |P| and of the row coefficients; 2 sqrt(m) for the roots
-_ROUNDING, _ROOT_ROUNDING = 2.0 ** -44, 2.0 ** -21
+#: allowances of the resonance scan: m for rounding, far above the few unit
+#: roundoffs of |P|, of the row coefficients and of the discriminant,
+#: 2 sqrt(m) for the roots, and u for underflow, far above 2^-1074
+_ROUNDING, _ROOT_ROUNDING, _UNDERFLOW = 2.0 ** -44, 2.0 ** -21, 2.0 ** -1000
 
 #: rows of the resonance scan with fewer shifts are evaluated whole, which
-#: takes about as long as solving one row for its roots
-_SHORT_ROW = 10
+#: takes about as long as finding the roots of one row
+_SHORT_ROW = 3
 
 #: sentinel returned by solve_for_s when the equation degenerates to 0 = 0
 ALL_SOLUTIONS = object()
@@ -153,62 +154,76 @@ def resonance_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
     A hit at Q means |P(r0+q1, s0+q2)| < tol (a number >= 0), i.e. the
     Frobenius recurrence would divide by (numerically) zero there.
 
-    A conic meets each row r = r0 + q1 in at most two points, the roots s_i
-    of P(r, s) = 0 from solve_for_s.  P is evaluated only at the integers
-    q2 within w of Re(s_i - s0), for the s_i with |Im(s_i - s0)| < w.  On
-    the row P = cC (s - s1)(s - s2), or lin (s - s1) when cC = 0, and the
-    rounding of |P| and of the row coefficients stays below m T, with
-    m = 2^-44 and T a bound of the sum of the magnitudes of the six terms
-    of P on the row.  So w is sqrt((tol + m T) / |cC|), or
-    (tol + m T) / |lin|, plus 2 sqrt(m) sum |s_i| for the rounding of the
-    roots.  A row is evaluated whole when P is constant in s, when w is not
-    finite or spans the row, and when the row is shorter than _SHORT_ROW.
-    Each |P| is summed as conic.evaluate sums it, so the hits and their
-    magnitudes are those of a scan of every shift, bit for bit.
+    On row r = r0 + q1, P = cC s^2 + lin s + const is evaluated only at the
+    q2 within w of Re(s_i - s0), for its roots s_i with |Im(s_i - s0)| < w.
+    |P|, lin and const round by less than m T, m = 2^-44 and T a bound of the
+    magnitudes of the six terms of P, so a hit is within sqrt((tol + m T) /
+    |cC|), or (tol + m T) / |lin| when cC = 0, of a root.  The roots are
+    those of c, the conic times unit_scale, on which lin = l0 + cB q1 and the
+    discriminant is d0 + d1 q1 + d2 q1^2, all four formed once: one square
+    root a row (one in all when d1 = d2 = 0), or -const / lin when cC = 0.
+    With a = |r0| + q1 and u = 2^-1000 for underflow in c and on c (its parts
+    are below 1), the discriminant rounds by less than m D + u (a^2 + a + 1),
+    D = (|cB| a + |cE|)^2 + 4 |cC| ((|cA| a + |cD|) a + |cF|) the magnitudes
+    of its terms on c, and a root by less than its square root over |2 cC|.
+    w takes that twice, plus 2 sqrt(m) sum |s_i| for the rest of the rounding
+    of the roots; when cC = 0, u (a + S + 1)^2 / |lin| on c, S >= |s|, for
+    underflow.  A row is evaluated whole when P is constant in s, when w is
+    not finite or spans the row, and when it is shorter than _SHORT_ROW.
+    Each |P| is conic.evaluate(r, s), so the hits and their magnitudes are
+    those of a scan of every shift, bit for bit.
     """
     if N < 1:
         raise ValueError("scan bound N must be >= 1")
     if not tol >= 0:
         raise ValueError(f"tolerance must be a number >= 0, got {tol!r}")
-    r0 = complex(r0)
-    s0 = complex(s0)
+    r0, s0 = complex(r0), complex(s0)
     base = conic.evaluate(r0, s0)
     if not abs(base) < tol:  # a NaN point is not on the conic
         raise BasePointNotOnConic(
             f"({r0}, {s0}) is not on the conic: |P| = {abs(base):.3e} >= {tol:.3e}"
         )
-    cA, cB, cC, cD, cE, cF = coeffs = conic.coefficients()
-    aA, aB, aC, aD, aE, aF = (math.hypot(z.real, z.imag) for z in coeffs)
+    aA, aB, aC, aD, aE, aF = mags = [math.hypot(z.real, z.imag) for z in conic]
     R0, S = math.hypot(r0.real, r0.imag), math.hypot(s0.real, s0.imag) + N  # S bounds |s|
-    ss = [s0 + k for k in range(N + 1)]
-    Cs = [cC * s * s for s in ss]
-    Es = [cE * s for s in ss]
+    BSD, CSEF = aB * S + aD, (aC * S + aE) * S + aF  # T = (aA a + BSD) a + CSEF
+    unit = unit_scale(conic)
+    uA, uB, uC, uD, uE, uF = (z * unit for z in conic)  # c
+    l0, k0, k1 = uB * r0 + uE, (uA * r0 + uD) * r0 + uF, 2.0 * uA * r0 + uD  # lin, const, dconst/dr at q1 = 0
+    if uC:
+        d0, d1, d2 = l0 * l0 - 4.0 * uC * k0, 2.0 * l0 * uB - 4.0 * uC * k1, uB * uB - 4.0 * uA * uC
+        root, half = cmath.sqrt(d0), 0.5 / uC
+        bA, bB, bC, bD, bE, bF = (x * unit for x in mags)
+        D2, D1, D0 = (_ROUNDING * t + _UNDERFLOW for t in (  # m D + u (a^2 + a + 1) = (D2 a + D1) a + D0
+            bB * bB + 4.0 * bC * bA, 2.0 * bB * bE + 4.0 * bC * bD, bE * bE + 4.0 * bC * bF))
     hits = []
     for q1 in range(N + 1):
-        r, first, last = r0 + q1, (0 if q1 else 1), N - q1
-        w = math.inf
+        r, first, last, w = r0 + q1, (0 if q1 else 1), N - q1, math.inf
         if last >= _SHORT_ROW:
-            ar = R0 + q1  # bounds |r|
-            slack = tol + _ROUNDING * ((aA * ar + aB * S + aD) * ar + (aC * S + aE) * S + aF)
+            a = R0 + q1  # bounds |r|
+            slack = tol + _ROUNDING * ((aA * a + BSD) * a + CSEF)
+            lin = l0 + uB * q1
             try:
-                roots = solve_for_s(conic, r)
-                if roots is not ALL_SOLUTIONS:
-                    w = _ROOT_ROUNDING * sum(map(abs, roots))
-                    w += math.sqrt(slack / aC) if cC else slack / abs(cB * r + cE)
-            except (NoSolution, OverflowError):  # P constant in s, or a root beyond the float range
+                if uC:
+                    root = cmath.sqrt(d0 + (d1 + d2 * q1) * q1) if d1 or d2 else root
+                    roots = ((root - lin) * half, (-root - lin) * half)
+                    w = (_ROOT_ROUNDING * (abs(roots[0]) + abs(roots[1])) + math.sqrt(slack / aC)
+                         + math.sqrt((D2 * a + D1) * a + D0) / bC)
+                else:
+                    roots = (-(k0 + (k1 + uA * q1) * q1) / lin,)
+                    w = _ROOT_ROUNDING * abs(roots[0]) + (slack * unit + _UNDERFLOW * (a + S + 1) ** 2) / abs(lin)
+            except (ZeroDivisionError, OverflowError):  # P constant in s, or a root beyond the float range
                 pass
-        q2s = range(first, last + 1)
-        if 2 * w < last:
+        if 2 * w < last:  # never for a w that is not finite
             q2s = set()
-            for root in roots:
-                t = root - s0
+            for s in roots:
+                t = s - s0
                 if abs(t.imag) < w and first - w <= t.real <= last + w:
                     q2s.update(range(max(first, math.floor(t.real - w)), min(last, math.ceil(t.real + w)) + 1))
-        Ar, Br, Dr = cA * r * r, cB * r, cD * r
+        else:
+            q2s = range(first, last + 1)
         for q2 in q2s:
-            mag = abs(Ar + Br * ss[q2] + Cs[q2] + Dr + Es[q2] + cF)
+            mag = abs(conic.evaluate(r, s0 + q2))
             if mag < tol:
                 hits.append(((q1, q2), mag))
     hits.sort(key=lambda hit: index_key(hit[0]))
-    nonres = N if not hits else sum(hits[0][0]) - 1
-    return ResonanceReport(r0, s0, N, tuple(hits), nonres)
+    return ResonanceReport(r0, s0, N, tuple(hits), sum(hits[0][0]) - 1 if hits else N)

@@ -183,6 +183,12 @@ class TestExitCodes:
         assert main(["solve", write(tmp_path, dict(BESSEL, c="1e-400*x^2"))]) == 1
         assert capsys.readouterr() == ("", "error: number 1e-400 is below the float range at line 1, column 1\n")
 
+    @pytest.mark.parametrize("text", ["x^1e-400", "x^0.5"])
+    def test_exponent_that_is_not_an_integer_refused(self, tmp_path, capsys, text):
+        assert main(["solve", write(tmp_path, dict(BESSEL, c=text))]) == 1
+        assert capsys.readouterr() == (
+            "", "error: exponent must be a nonnegative integer literal at line 1, column 3\n")
+
     @pytest.mark.parametrize("a, err", [
         ("(" * 600 + "1" + ")" * 600, "expression nests deeper than 300 levels at line 1, column 301"),
         ("-" * 3000 + "1", "expression nests deeper than 300 levels at line 1, column 301"),

@@ -117,6 +117,17 @@ class TestErrors:
     def test_zero_and_the_smallest_subnormal_parse(self, text, value):
         assert parse_expr(text) == ("num", value)
 
+    @pytest.mark.parametrize("text", ["x^1e-400", "x^0.1", "x^2.5e-330"])
+    def test_exponent_that_is_not_an_integer_refused(self, text):
+        # x^1e-400 used to read as x^0, the constant 1, while x^1e-5 was refused
+        with pytest.raises(ExprSyntaxError, match="exponent must be a nonnegative integer literal") as info:
+            parse_expr(text)
+        assert (info.value.line, info.value.column) == (1, 3)
+
+    @pytest.mark.parametrize("text", ["x^0", "x^0e5", "x^0.0e-400"])
+    def test_zero_exponent_parses(self, text):
+        assert parse_expr(text) == ("pow", ("var", "x"), 0)
+
     def test_empty(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("   ")

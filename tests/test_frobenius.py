@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from frobpde import catalog
+from frobpde import catalog, frobenius
 from frobpde.cli import _dump, _rows, _solution_json
 from frobpde.errors import (
     BasePointNotOnConic,
@@ -24,6 +24,7 @@ from frobpde.frobenius import (
     solve,
 )
 from frobpde.multiseries import CSeries2, cauchy_mul
+from frobpde.verify import eval_solution
 from helpers import max_abs_diff
 
 
@@ -199,6 +200,19 @@ class TestRadiusEstimate:
         pde = make_pde(1, 2, 1, "1", "1", "x^2", order=40)
         sol = solve(pde, 0, 0, 40)
         assert radius_estimate(sol) > 10.0
+
+    def test_solution_estimated_once(self, monkeypatch):
+        calls = []
+        rate = frobenius._ratio_rate
+        monkeypatch.setattr(frobenius, "_ratio_rate", lambda *args: calls.append(args) or rate(*args))
+        sol = catalog.solve_entry(catalog.entry("legendre_I", lam=0.7), 0.5, 0.5, 20)
+        est = radius_estimate(sol)
+        values = [eval_solution(sol, 0.1, 0.1) for _ in range(3)]
+        assert len(calls) == 1 and values[0] == values[2]
+        assert radius_estimate(sol, order=20) == radius_estimate(dict(sol.coeffs)) == est
+        assert len(calls) == 3  # an explicit order or a plain table is estimated each time
+        back = pickle.loads(pickle.dumps(sol))
+        assert back == sol and radius_estimate(back) == est and len(calls) == 3
 
     def test_sparse_layers_handled(self):
         # support on layers 0, 3, 6, ... with rate 2^-n overall

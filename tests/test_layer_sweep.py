@@ -2,6 +2,9 @@
 the per-point references in helpers.py: the same coefficient bits in the same
 key order, the same certificates and the same refusals."""
 
+import inspect
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -47,6 +50,44 @@ def test_catalog_models(name, params, N):
     assert got[0][0][0] == (0, 0)  # solved, not refused
     conic = pde.conic()
     assert scan_bits(resonance_scan(conic, r0, s0, N)) == scan_bits(reference_scan(conic, r0, s0, N))
+
+
+@pytest.mark.parametrize("N", [80, 160])
+@pytest.mark.parametrize("name, params", CATALOG_MODELS)
+def test_catalog_scans(name, params, N):
+    ent = catalog.entry(name, **params)
+    conic = catalog.make_pde(ent, 4).conic()  # the conic reads only the constant terms
+    r0, s0 = catalog.default_point(ent)
+    assert scan_bits(resonance_scan(conic, r0, s0, N)) == scan_bits(reference_scan(conic, r0, s0, N))
+
+
+def count_evaluations(conic, r0, s0, N):
+    """(executions of the |P| line of resonance_scan, hits), counted by a line tracer."""
+    lines, start = inspect.getsourcelines(resonance_scan)
+    target = start + next(i for i, text in enumerate(lines) if "mag = abs(" in text)
+    count = 0
+
+    def on_line(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == target
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is resonance_scan.__code__ else None)
+    try:
+        report = resonance_scan(conic, r0, s0, N)
+    finally:
+        sys.settrace(previous)
+    return count, len(report.hits)
+
+
+@pytest.mark.parametrize("N", [40, 80, 160])
+@pytest.mark.parametrize("name, params", CATALOG_MODELS)
+def test_scan_evaluations_grow_linearly(name, params, N):
+    # the row windows evaluate P O(N + hits) times, where every shift is N (N + 3) / 2
+    ent = catalog.entry(name, **params)
+    count, hits = count_evaluations(catalog.make_pde(ent, 4).conic(), *catalog.default_point(ent), N)
+    assert 0 < count <= 2 * (N + hits)
 
 
 # -- hypothesis-drawn PDEs -----------------------------------------------------
@@ -220,6 +261,26 @@ def scan_outcome(scan, conic, r0, s0, N, tol):
 @example((IndicialConic(1 + 0j, 0j, -1 + 0j, -2e8 + 0j, 0j, 1e16 + 0j), 1e8, 0, 20, 1e-3))
 @example((IndicialConic(1 + 0j, -2 + 0j, 1 + 0j, -2e8 + 1 + 0j, 2e8 - 1 + 0j, 1e16 - 1e8 + 0j),
           1e8, 0, 20, 1e-9))
+# uv + v^2 - u - 4v at r0 = 1e8 + 0.1: lin = cB r + cE nearly cancels on row 4,
+# where the hit (4, 2) lies
+@example((IndicialConic(0j, 1 + 0j, 1 + 0j, -1 + 0j, -100000004.1 + 0j, 100000000.1 + 0j),
+          100000000.1, 0, 20, 1e-3))
+# the line pair (r + s)(r + s - 1) at r0 = 1e8: d0 is formed from terms near 1e16
+@example((IndicialConic(1 + 0j, 2 + 0j, 1 + 0j, -1 + 0j, -1 + 0j, 0j), 1e8, -1e8, 20, 30.0))
+# coefficients spread over 2^+-600: cC and cE underflow in the conic times
+# unit_scale, and every shift of row 0 hits
+@example((IndicialConic(2.0 ** 600 + 0j, 0j, 2.0 ** -600 + 0j, -3.5 * 2.0 ** 600 + 0j, -2.0 ** -600 + 0j, 0j),
+          0, 0, 12, 1e-9))
+# 2^-500 (s - 1)(s - 2) on row 0 beside 2^500 r^2: the discriminant of the
+# conic times unit_scale underflows to 0, yet (0, 1) hits
+@example((IndicialConic(2.0 ** 500 + 0j, 0j, 2.0 ** -500 + 0j, 0j, -3 * 2.0 ** -500 + 0j, 2 * 2.0 ** -500 + 0j),
+          0, 1, 10, 1e-200))
+# cC = 0 and cE, cF lose bits in the conic times unit_scale, which moves the
+# root of row 0 from s0 = 99999 to 100004.1; (0, 1) hits
+@example((IndicialConic(2.0 ** 500 + 0j, 0j, 0j, 0j, 2.0 ** -560 * (1 + 2.0 ** -14) + 0j,
+                        -99999 * 2.0 ** -560 * (1 + 2.0 ** -14) + 0j), 0, 99999, 10, 1.5 * 2.0 ** -560))
+# (u - 3)(u + 3v) at r0 = 0.1, cC = 0: lin rounds to 0 on row 3, every shift of which hits
+@example((IndicialConic(1 + 0j, 3 + 0j, 0j, -3.2 + 0j, -9.3 + 0j, 0.31000000000000005 + 0j), 0.1, 0, 12, 1e-9))
 def test_planted_hits(case):
     got = scan_outcome(resonance_scan, *case)
     assert got == scan_outcome(reference_scan, *case)
