@@ -16,16 +16,14 @@ class DivisionBySeriesWithZeroConstantTerm(ZeroConstantTerm):
 class ExprSyntaxError(FrobPDEError):
     """Syntax error while parsing a coefficient expression.
 
-    Carries the 0-based byte offset, 1-based line/column, and the set of
-    token kinds that would have been accepted at that position.
+    Carries the 0-based character offset into the text and its 1-based line and column.
     """
 
-    def __init__(self, message, offset, line, column, expected=()):
-        super().__init__(f"{message} at line {line}, column {column}")
+    def __init__(self, message, text, offset):
         self.offset = offset
-        self.line = line
-        self.column = column
-        self.expected = frozenset(expected)
+        self.line = text.count("\n", 0, offset) + 1
+        self.column = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"{message} at line {self.line}, column {self.column}")
 
 
 class UnboundParameter(FrobPDEError):

@@ -205,8 +205,6 @@ class ClassicalSolution:
 
     def __init__(self, kind, n, L, a):
         self.kind = kind
-        self.n = n
-        self.L = L
         self.a = a
         self.k = n * math.pi / L
 

@@ -47,23 +47,12 @@ _MAX_NESTING = 300
 _Token = namedtuple("_Token", "kind text offset")
 
 
-def _line_col(text, offset):
-    line = text.count("\n", 0, offset) + 1
-    last_nl = text.rfind("\n", 0, offset)
-    return line, offset - last_nl  # 1-based column
-
-
-def _err(text, offset, message, expected=()):
-    line, col = _line_col(text, offset)
-    raise ExprSyntaxError(message, offset, line, col, expected)
-
-
 def _tokenize(text):
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind, tok = m.lastgroup, m.group()
         if kind == "other":
-            _err(text, m.start(), f"unexpected character {tok!r}")
+            raise ExprSyntaxError(f"unexpected character {tok!r}", text, m.start())
         tokens.append(_Token(tok if kind == "op" else kind, tok, m.start()))
     return tokens
 
@@ -83,7 +72,7 @@ class _Parser:
     def nest(self, tok, height=0):
         """height, refused at tok when it and the open calls exceed _MAX_NESTING levels."""
         if self.depth + height > _MAX_NESTING:
-            _err(self.text, tok.offset, f"expression nests deeper than {_MAX_NESTING} levels")
+            raise ExprSyntaxError(f"expression nests deeper than {_MAX_NESTING} levels", self.text, tok.offset)
         return height
 
     def peek(self):
@@ -97,7 +86,7 @@ class _Parser:
     def expect(self, kind):
         tok = self.peek()
         if tok.kind != kind:
-            _err(self.text, tok.offset, f"expected {kind!r}, found {tok.text or 'end of input'!r}", {kind})
+            raise ExprSyntaxError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", self.text, tok.offset)
         return self.advance()
 
     def parse_expression(self, min_bp=0):
@@ -132,18 +121,18 @@ class _Parser:
         self.depth += 1
         self.nest(tok)
         if tok.kind != "number":
-            _err(self.text, tok.offset, "exponent must be a nonnegative integer literal", {"number"})
+            raise ExprSyntaxError("exponent must be a nonnegative integer literal", self.text, tok.offset)
         value = float(tok.text)
         if value <= _MAX_EXPONENT:
             if value != int(value) or _underflows(tok.text, value):
-                _err(self.text, tok.offset, "exponent must be a nonnegative integer literal", {"number"})
+                raise ExprSyntaxError("exponent must be a nonnegative integer literal", self.text, tok.offset)
             self.advance()
             value = int(value)
             if self.peek().kind == "^":  # right-associative exponent tower
                 self.advance()
                 value = value ** self.parse_exponent()  # both at most _MAX_EXPONENT
         if value > _MAX_EXPONENT:
-            _err(self.text, tok.offset, f"exponent must be at most {_MAX_EXPONENT}", {"number"})
+            raise ExprSyntaxError(f"exponent must be at most {_MAX_EXPONENT}", self.text, tok.offset)
         self.depth -= 1
         return value
 
@@ -153,9 +142,9 @@ class _Parser:
         if tok.kind == "number":
             value = float(tok.text)
             if math.isinf(value):  # the literal overflows: no sign is part of it
-                _err(self.text, tok.offset, f"number {tok.text} is beyond the float range")
+                raise ExprSyntaxError(f"number {tok.text} is beyond the float range", self.text, tok.offset)
             if _underflows(tok.text, value):
-                _err(self.text, tok.offset, f"number {tok.text} is below the float range")
+                raise ExprSyntaxError(f"number {tok.text} is below the float range", self.text, tok.offset)
             return ("num", value), 0
         if tok.kind == "ident":
             if tok.text == "i":
@@ -170,23 +159,18 @@ class _Parser:
             node_height = self.parse_expression(0)
             self.expect(")")
             return node_height
-        _err(
-            self.text,
-            tok.offset,
-            f"expected a value, found {tok.text or 'end of input'!r}",
-            {"number", "ident", "-", "("},
-        )
+        raise ExprSyntaxError(f"expected a value, found {tok.text or 'end of input'!r}", self.text, tok.offset)
 
 
 def parse_expr(text):
     """Parse an expression into an AST tuple."""
     if not text or not text.strip():
-        raise ExprSyntaxError("empty expression", 0, 1, 1, {"number", "ident", "-", "("})
+        raise ExprSyntaxError("empty expression", text or "", 0)
     parser = _Parser(text)
     node, _ = parser.parse_expression(0)
     tok = parser.peek()
     if tok.kind != "end":
-        _err(text, tok.offset, f"unexpected trailing input {tok.text!r}", {"end"})
+        raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", text, tok.offset)
     return node
 
 

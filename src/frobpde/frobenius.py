@@ -224,10 +224,9 @@ def radius_estimate(sol, order=None):
         if sol._radius is None:  # with an order given, this call skips the cache
             object.__setattr__(sol, "_radius", radius_estimate(sol, sol.order))
         return sol._radius
-    if not isinstance(sol, CSeries2):
-        if order is None:
-            order = max((q1 + q2 for q1, q2 in sol), default=0)
-        sol = CSeries2(order, sol)
+    if not isinstance(sol, CSeries2) or order not in (None, sol.order):
+        table = getattr(sol, "coeffs", sol)
+        sol = CSeries2(max((q1 + q2 for q1, q2 in table), default=0) if order is None else order, table)
     sums = sol.layer_sums()
     N = sol.order
     if N < 10:

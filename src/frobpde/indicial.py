@@ -15,10 +15,6 @@ DEFAULT_TOL = 1e-9
 #: 2 sqrt(m) for the roots, and u for underflow, far above 2^-1074
 _ROUNDING, _ROOT_ROUNDING, _UNDERFLOW = 2.0 ** -44, 2.0 ** -21, 2.0 ** -1000
 
-#: rows of the resonance scan with fewer shifts are evaluated whole, which
-#: takes about as long as finding the roots of one row
-_SHORT_ROW = 3
-
 #: sentinel returned by solve_for_s when the equation degenerates to 0 = 0
 ALL_SOLUTIONS = object()
 
@@ -131,6 +127,8 @@ def solve_for_s(conic, r):
                                     and abs(product.real) < 2.0 ** -1022 > abs(product.imag)):
         unit = unit_scale((quad, lin, const))
         quad, lin, const = quad * unit, lin * unit, const * unit
+        if quad == 0:  # underflowed: linear to float precision, the other root beyond the float range
+            return [-const / lin]
         disc = lin * lin - 4.0 * quad * const
     if disc == 0:
         return [-lin / (2.0 * quad)]
@@ -168,8 +166,8 @@ def resonance_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
     of its terms on c, and a root by less than its square root over |2 cC|.
     w takes that twice, plus 2 sqrt(m) sum |s_i| for the rest of the rounding
     of the roots; when cC = 0, u (a + S + 1)^2 / |lin| on c, S >= |s|, for
-    underflow.  A row is evaluated whole when P is constant in s, when w is
-    not finite or spans the row, and when it is shorter than _SHORT_ROW.
+    underflow.  A row is evaluated whole when P is constant in s and when w
+    is not finite or spans the row.
     Each |P| is conic.evaluate(r, s), so the hits and their magnitudes are
     those of a scan of every shift, bit for bit.
     """
@@ -198,21 +196,20 @@ def resonance_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
     hits = []
     for q1 in range(N + 1):
         r, first, last, w = r0 + q1, (0 if q1 else 1), N - q1, math.inf
-        if last >= _SHORT_ROW:
-            a = R0 + q1  # bounds |r|
-            slack = tol + _ROUNDING * ((aA * a + BSD) * a + CSEF)
-            lin = l0 + uB * q1
-            try:
-                if uC:
-                    root = cmath.sqrt(d0 + (d1 + d2 * q1) * q1) if d1 or d2 else root
-                    roots = ((root - lin) * half, (-root - lin) * half)
-                    w = (_ROOT_ROUNDING * (abs(roots[0]) + abs(roots[1])) + math.sqrt(slack / aC)
-                         + math.sqrt((D2 * a + D1) * a + D0) / bC)
-                else:
-                    roots = (-(k0 + (k1 + uA * q1) * q1) / lin,)
-                    w = _ROOT_ROUNDING * abs(roots[0]) + (slack * unit + _UNDERFLOW * (a + S + 1) ** 2) / abs(lin)
-            except (ZeroDivisionError, OverflowError):  # P constant in s, or a root beyond the float range
-                pass
+        a = R0 + q1  # bounds |r|
+        slack = tol + _ROUNDING * ((aA * a + BSD) * a + CSEF)
+        lin = l0 + uB * q1
+        try:
+            if uC:
+                root = cmath.sqrt(d0 + (d1 + d2 * q1) * q1) if d1 or d2 else root
+                roots = ((root - lin) * half, (-root - lin) * half)
+                w = (_ROOT_ROUNDING * (abs(roots[0]) + abs(roots[1])) + math.sqrt(slack / aC)
+                     + math.sqrt((D2 * a + D1) * a + D0) / bC)
+            else:
+                roots = (-(k0 + (k1 + uA * q1) * q1) / lin,)
+                w = _ROOT_ROUNDING * abs(roots[0]) + (slack * unit + _UNDERFLOW * (a + S + 1) ** 2) / abs(lin)
+        except (ZeroDivisionError, OverflowError):  # P constant in s, or a root beyond the float range
+            pass
         if 2 * w < last:  # never for a w that is not finite
             q2s = set()
             for s in roots:

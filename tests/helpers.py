@@ -7,8 +7,7 @@ import math
 import re
 from fractions import Fraction
 
-from frobpde.errors import BasePointNotOnConic, ResonantPoint
-from frobpde.expr_parser import _err
+from frobpde.errors import BasePointNotOnConic, ExprSyntaxError, ResonantPoint
 from frobpde.frobenius import FrobeniusSolution, convergence_report
 from frobpde.indicial import DEFAULT_TOL, ResonanceReport
 from frobpde.multiseries import CSeries2, cauchy_mul, index_key, norm, reciprocal
@@ -305,6 +304,6 @@ def reference_tokenize(text):
             tokens.append((ch, ch, pos))
             pos += 1
             continue
-        _err(text, pos, f"unexpected character {ch!r}")
+        raise ExprSyntaxError(f"unexpected character {ch!r}", text, pos)
     tokens.append(("end", "", n))
     return tokens

@@ -129,8 +129,9 @@ class TestErrors:
         assert parse_expr(text) == ("pow", ("var", "x"), 0)
 
     def test_empty(self):
-        with pytest.raises(ExprSyntaxError):
-            parse_expr("   ")
+        for text in ("", "   ", None):
+            with pytest.raises(ExprSyntaxError, match="empty expression at line 1, column 1"):
+                parse_expr(text)
 
     def test_location_one_based(self):
         with pytest.raises(ExprSyntaxError) as info:
@@ -145,10 +146,17 @@ class TestErrors:
         assert info.value.line == 2
         assert info.value.column == 3
 
-    def test_expected_set(self):
+    def test_unclosed_parenthesis(self):
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr("(1")
-        assert ")" in info.value.expected
+        assert str(info.value) == "expected ')', found 'end of input' at line 1, column 3"
+        assert (info.value.offset, info.value.line, info.value.column) == (2, 1, 3)
+
+    def test_offset_counts_characters(self):
+        # the no-break space is one character and two bytes of UTF-8
+        with pytest.raises(ExprSyntaxError, match="expected a value, found '\\)'") as info:
+            parse_expr("x\u00a0+ )")
+        assert (info.value.offset, info.value.line, info.value.column) == (4, 1, 5)
 
     def test_trailing_input(self):
         with pytest.raises(ExprSyntaxError):

@@ -214,6 +214,12 @@ class TestRadiusEstimate:
         back = pickle.loads(pickle.dumps(sol))
         assert back == sol and radius_estimate(back) == est and len(calls) == 3
 
+    def test_series_truncated_at_order(self):
+        sol = catalog.solve_entry(catalog.entry("legendre_I", lam=0.7), 0.5, 0.5, 40)
+        assert radius_estimate(sol) == radius_estimate(sol, order=40) == pytest.approx(1.000024643239698, rel=1e-12)
+        cut = radius_estimate(dict(sol.coeffs), order=20)
+        assert radius_estimate(sol, order=20) == cut == pytest.approx(1.00020732621892, rel=1e-12)
+
     def test_sparse_layers_handled(self):
         # support on layers 0, 3, 6, ... with rate 2^-n overall
         table = {(3 * n, 0): 2.0 ** (-3 * n) for n in range(11)}

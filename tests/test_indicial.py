@@ -168,6 +168,12 @@ class TestSolveForS:
         roots = solve_for_s(conic(1e200, 0, 1e200, -1e200, -1e200, 1e200), 0)
         assert roots == pytest.approx([0.5 - 0.75 ** 0.5 * 1j, 0.5 + 0.75 ** 0.5 * 1j])
 
+    def test_rescue_that_underflows_quad_gives_the_finite_root(self):
+        # the scaled quad underflows to 0; the other root, about 1.1e483, is beyond the float range
+        c = IndicialConic(3.273390607896142e+156, 0, 9.332636185032189e-296, 1.8665272370064378e-295,
+                          -1.0317204618990469e+188, 0)
+        assert solve_for_s(c, 0) == [0j]
+
     def test_all_solutions_sentinel(self):
         assert solve_for_s(conic(1, 0, 0, 0, 0, -4), 2) is ALL_SOLUTIONS
 

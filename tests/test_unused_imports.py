@@ -4,7 +4,9 @@ module-level name of the package is read somewhere in the package.  Every
 parameter default of the package is overridden by some call in the package,
 the tests or the benchmark, so no parameter has only one value.  Every
 public function and method of the modules the program runs is read by the
-package or the benchmark, but for a listed few kept by design."""
+package or the benchmark, but for a listed few kept by design.  Every public
+instance attribute that the package assigns is read by the package, the
+tests or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -198,3 +200,56 @@ def test_checker_flags_an_unread_public_name():
         "b.py": "from a import g\nimport a\nm = 1\na.K().o()\n",
     }
     assert unread_public_names(sources, ["a.py"]) == [("a.py", "f"), ("a.py", "m"), ("a.py", "n")]
+
+
+def unread_public_attributes(sources, defining):
+    """(module, name) for each public attribute that a statement of the
+    `defining` modules assigns, as self.X = … or object.__setattr__(obj, "X",
+    …), and that no module of `sources` reads as .X outside a statement that
+    assigns X."""
+    assigned, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        skipped = set()  # ids of this tree's nodes, compared while the tree is alive
+        for stmt in ast.walk(tree):
+            names = set()
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {t.attr for t in targets if isinstance(t, ast.Attribute)
+                         and isinstance(t.value, ast.Name) and t.value.id == "self"}
+            elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+                call = stmt.value
+                if (ast.unparse(call.func) == "object.__setattr__" and len(call.args) == 3
+                        and isinstance(call.args[1], ast.Constant)):
+                    names = {call.args[1].value}
+            if names:
+                if module in defining:
+                    assigned += [(module, name) for name in sorted(names) if not name.startswith("_")]
+                skipped |= {id(node) for node in ast.walk(stmt) if getattr(node, "attr", None) in names}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in skipped}
+    return [(module, name) for module, name in dict.fromkeys(assigned) if name not in read]
+
+
+def test_every_public_attribute_is_read():
+    sources = {str(p): p.read_text() for p in CALLERS}
+    assert unread_public_attributes(sources, [str(p) for p in FILES if p.parent.name == "frobpde"]) == []
+
+
+def test_checker_flags_an_unread_public_attribute():
+    sources = {
+        "a.py": (
+            "class K:\n"
+            "    def __init__(self, v):\n"
+            "        self.a = self.b = v\n"
+            "        self._c = v\n"
+            "        object.__setattr__(self, 'd', v)\n"
+            "        object.__setattr__(self, 'e', v)\n"
+            "        self.f = 0\n"
+            "        self.f += self.f\n"
+            "    def g(self):\n"
+            "        return self.b\n"
+        ),
+        "b.py": "import a\nprint(a.K(1).d, a.K(2)._c)\n",
+    }
+    assert unread_public_attributes(sources, ["a.py"]) == [("a.py", "a"), ("a.py", "e"), ("a.py", "f")]
