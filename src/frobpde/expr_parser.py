@@ -18,7 +18,7 @@ import re
 from collections import namedtuple
 
 from .errors import DivisionBySeriesWithZeroConstantTerm, ExprSyntaxError, UnboundParameter
-from .multiseries import CSeries2, cauchy_mul, reciprocal
+from .multiseries import CSeries2, cauchy_mul
 
 #: one token per match; whitespace matches no alternative, so finditer skips
 #: it, and `other` is any character that starts no token
@@ -213,12 +213,16 @@ def to_series(ast, params, order):
     """Evaluate an AST to a CSeries2, binding parameters to complex values.
 
     The AST is evaluated as a fraction num/den of truncated polynomials,
-    den(0, 0) = 1, expanded with one reciprocal that keeps (num, den) in its
-    `fraction` slot; without a division the series is num itself.  Common
-    factors are never cancelled, so x/x is refused like 1/x."""
+    den(0, 0) = 1, kept as the pair in the `fraction` slot of a series that
+    expands it with one reciprocal when its `coeffs` are first read; without
+    a division the series is num itself.  Common factors are never
+    cancelled, so x/x is refused like 1/x."""
     num, den = _fraction(ast, params, order)
-    series = num if den is None else cauchy_mul(num, reciprocal(den))
-    object.__setattr__(series, "fraction", None if den is None else (num, den))
+    if den is None:
+        return num
+    series = object.__new__(CSeries2)
+    object.__setattr__(series, "order", order)
+    object.__setattr__(series, "fraction", (num, den))
     return series
 
 

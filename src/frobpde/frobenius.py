@@ -105,12 +105,16 @@ def convergence_report(A, B, C):
 class FrobeniusSolution(CSeries2):
     """x^r0 y^s0 sum D_Q x^q1 y^q2: the coefficient series (D_{0,0} = 1) with
     its exponent pair, the resonance scan it was solved under, the convergence
-    report of its leading coefficients and, once made, its radius_estimate."""
+    report of its leading coefficients and, once made, its radius_estimate.
+    The table is taken as its own, unchecked: one as `layer_sweep` returns
+    it, with no zero or non-finite value, keys in canonical order."""
 
     __slots__ = ("r0", "s0", "resonance_certificate", "convergence", "_radius")
 
     def __init__(self, r0, s0, order, coeffs, resonance_certificate, convergence):
-        super().__init__(order, coeffs)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "fraction", None)
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "resonance_certificate", resonance_certificate)

@@ -126,6 +126,9 @@ def solve_for_s(conic, r):
     if not cmath.isfinite(disc) or (abs(square.real) < 2.0 ** -1022 > abs(square.imag)
                                     and abs(product.real) < 2.0 ** -1022 > abs(product.imag)):
         unit = unit_scale((quad, lin, const))
+        if quad * unit == 0 and lin == 0:  # quad s^2 = -const: from the unscaled row, nothing underflows
+            s1 = cmath.sqrt(-const) / cmath.sqrt(quad)
+            return sorted([s1, -s1], key=lambda z: (z.real, z.imag))
         quad, lin, const = quad * unit, lin * unit, const * unit
         if quad == 0:  # underflowed: linear to float precision, the other root beyond the float range
             return [-const / lin]

@@ -24,7 +24,9 @@ def index_key(Q):
 class CSeries2:
     """Immutable truncated bivariate power series with complex coefficients.
     `fraction` is the pair (num, den) of polynomials, den(0, 0) = 1, that
-    `to_series` expanded the series from; None (den = 1) on any other."""
+    `to_series` made the series from; None (den = 1) on any other.  Such a
+    series has no table until `coeffs` is first read, which expands it as
+    cauchy_mul(num, reciprocal(den))."""
 
     __slots__ = ("order", "coeffs", "fraction")
 
@@ -56,6 +58,14 @@ class CSeries2:
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
 
+    def __getattr__(self, name):  # the normal lookup failed: serves the table of a fraction, once
+        if name != "coeffs" or self.fraction is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        num, den = self.fraction
+        table = cauchy_mul(num, reciprocal(den)).coeffs
+        object.__setattr__(self, "coeffs", table)
+        return table
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -80,11 +90,15 @@ class CSeries2:
         return self.coeffs.get(Q, 0j)
 
     def constant_term(self):
-        return self.coeffs.get((0, 0), 0j)
+        if self.fraction is None:
+            return self.coeffs.get((0, 0), 0j)
+        num, den = self.fraction  # the sum that cauchy_mul forms at (0, 0), without the expansion
+        return 0j + num.constant_term() * (1.0 / den.constant_term()) or 0j
 
     def items(self):
         """Coefficients in canonical order."""
-        return sorted(self.coeffs.items(), key=lambda kv: index_key(kv[0]))
+        W = self.order + 1  # (|Q|, q1) packed as |Q| W + q1, one to one as q1 <= order
+        return [kv for _, kv in sorted(zip([(q1 + q2) * W + q1 for q1, q2 in self.coeffs], self.coeffs.items()))]
 
     def layer_sums(self):
         """d_n = sum of coefficient magnitudes on each lattice layer."""

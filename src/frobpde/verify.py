@@ -8,15 +8,15 @@ q, the common denominator of a, b and c, is a unit: q L[z] vanishes through
 layer N exactly when L[z] does.
 
 The four products are summed on integer keys q1 (M + 1) + q2, M the order of
-the table, over one list of the weighted d_Q sorted by layer, in the order of
+the table, over columns of the weighted d_Q sorted by layer, in the order of
 four `cauchy_mul` calls added with `+`, and equal to their sum bit for bit.
 """
 
 import cmath
 import math
 import warnings
+from bisect import bisect_right
 from collections import namedtuple
-from operator import itemgetter
 
 from .errors import OutsideEstimatedDomain
 from .frobenius import radius_estimate
@@ -42,9 +42,13 @@ def apply_operator(pde, r0, s0, coeffs):
     bit for bit: 0j + z differs from z only in a part that is -0.0, and no
     part of o is -0.0 (o starts as 0j plus a term, and a sum of floats is
     -0.0 only when both are).  So such an f adds straight into the output,
-    and an f with more monomials sums into a table of its own first.  For a
-    monomial m the d_Q with |Q| > M - |m| fall off the table; the list of d_Q
-    is sorted by layer, so the pass over it stops at the first of them.
+    and an f with more monomials sums into a table of its own first.
+
+    The d_Q are sorted once, by layer, into columns: the packed keys, |Q|,
+    and T2, Sx, Sy, S.  For a monomial m the d_Q with |Q| > M - |m| fall off
+    the table, so its pass runs over the columns cut with bisect at that
+    room.  As for a CSeries2, zero outputs are not stored and a non-finite
+    one is refused with ValueError.
     """
     r0 = complex(r0)
     s0 = complex(s0)
@@ -56,28 +60,33 @@ def apply_operator(pde, r0, s0, coeffs):
         raise ValueError("pde series order must be >= coefficient table order")
     A, B, C = complex(pde.A), complex(pde.B), complex(pde.C)
     W = M + 1  # Q is packed as q1 W + q2, one to one as q2 <= M
-    terms = []  # (packed Q, |Q|, T2, Sx, Sy, S) of each d_Q, by ascending |Q|
-    for (q1, q2), d in S.coeffs.items():
+    items = S.items()  # by ascending |Q|
+    keys = [q1 * W + q2 for (q1, q2), _ in items]
+    norms = [q1 + q2 for (q1, q2), _ in items]
+    T2, Sx, Sy = [], [], []
+    for (q1, q2), d in items:
         rr, ss = q1 + r0, q2 + s0
-        t2 = (A * rr * (rr - 1) + B * rr * ss + C * ss * (ss - 1)) * d
-        terms.append((q1 * W + q2, q1 + q2, t2, rr * d, ss * d, d))
-    terms.sort(key=itemgetter(1))
+        T2.append((A * rr * (rr - 1) + B * rr * ss + C * ss * (ss - 1)) * d)
+        Sx.append(rr * d)
+        Sy.append(ss * d)
+    columns = (T2, Sx, Sy, [d for _, d in items])
     out = {}
-    for j, f in enumerate(pde.cleared(), 2):
+    for f, column in zip(pde.cleared(), columns):
         # a one-monomial f adds straight into out (see the docstring)
         acc = out if len(f.coeffs) == 1 else {}
         get = acc.get
         for (m1, m2), fv in f.coeffs.items():
-            shift, room = m1 * W + m2, M - m1 - m2
-            for t in terms:
-                if t[1] > room:
-                    break
-                key = t[0] + shift
-                acc[key] = get(key, 0j) + fv * t[j]
+            shift, cut = m1 * W + m2, bisect_right(norms, M - m1 - m2)
+            for key, t in zip(keys[:cut], column[:cut]):
+                key += shift
+                acc[key] = get(key, 0j) + fv * t
         if acc is not out:
             for key, v in acc.items():
                 out[key] = out.get(key, 0j) + v
-    return CSeries2(M, {divmod(key, W): v for key, v in out.items()}).coeffs
+    if not all(map(cmath.isfinite, out.values())):
+        bad = next(v for v in out.values() if not cmath.isfinite(v))
+        raise ValueError(f"non-finite coefficient {bad!r}")
+    return {divmod(key, W): v for key, v in out.items() if v}
 
 
 class ResidualReport(namedtuple("ResidualReport", "max_residual per_layer checked_up_to")):

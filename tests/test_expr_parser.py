@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import time
 from fractions import Fraction
 
@@ -316,6 +318,15 @@ def rational_exprs(draw, depth=3):
     return f"({lhs})^{draw(st.integers(0, 3))}"
 
 
+def expanded(series):
+    """Whether the table of a series is formed: the slot reads without expanding."""
+    try:
+        CSeries2.coeffs.__get__(series)
+    except AttributeError:
+        return False
+    return True
+
+
 def _exact(series):
     return {Q: Fraction(v.real) for Q, v in series.coeffs.items()}
 
@@ -357,6 +368,40 @@ class TestFractions:
         bound = cauchy_mul(bound, r)
         for Q in series.coeffs.keys() | quotient.keys():
             assert abs(Fraction(series.get(Q).real) - quotient.get(Q, 0)) <= 8 * U * bound.get(Q).real
+
+    @given(rational_exprs(), st.integers(4, 8))
+    @example("((x) / (1 - x*y))^2 - (y) / (2 + y)", 6)
+    @example("-(y) / (1 - x)", 4)  # a numerator without a constant term
+    @settings(max_examples=150, deadline=None)
+    def test_expansion_on_first_read(self, text, order):
+        # the constant term before the table is formed, and the table once
+        # it is, have the bits of the product that to_series used to form
+        try:
+            series = to_series(parse_expr(text), self.PARAMS, order)
+        except DivisionBySeriesWithZeroConstantTerm:
+            return
+        if series.fraction is None:
+            return
+        num, den = series.fraction
+        want = cauchy_mul(num, reciprocal(den))
+        z, w = series.constant_term(), want.constant_term()
+        assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
+        assert not expanded(series)
+        assert bits(series) == bits(want)
+        assert expanded(series)
+
+    def test_unexpanded_series_copies_and_pickles(self):
+        for clone in (copy.copy, lambda f: pickle.loads(pickle.dumps(f))):
+            series = ev("-2*x^2/(1-x*y) + 3", order=8)
+            assert not expanded(series)
+            twin = clone(series)
+            assert twin.fraction == series.fraction and twin == series and bits(twin) == bits(series)
+
+    def test_expansion_beyond_the_float_range_refused_when_read(self):
+        series = ev("1/(1 - 1e10*x)", order=40)  # x^31 and up overflow
+        assert series.constant_term() == 1
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            series.coeffs
 
     def test_polynomial_expressions_carry_no_denominator(self):
         for text in ("x^2 - 2*x*y + y^2", "lam*(lam+1)*x^2", "(1 - x)^3*(2 + y)", "x/2 + y/0.5"):

@@ -180,6 +180,12 @@ class TestClearedDenominators:
         ref = solve(dense, 0, s0, N)
         assert max_abs_diff(sol, ref) <= 1e-13 * max(abs(v) for v in ref.coeffs.values())
 
+    def test_solve_expands_no_fraction(self):
+        # a expands beyond the float range from x^31 on, but q = 1 - 1e10 x
+        # and q a = 1 do not, and z = 1 solves the PDE exactly
+        pde = make_pde(1, 2, 1, "1/(1 - 1e10*x)", "1", "0", order=40)
+        assert solve(pde, 0, 0, 40).coeffs == {(0, 0): 1}
+
 
 class TestRadiusEstimate:
     def test_planted_geometric(self):

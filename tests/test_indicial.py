@@ -174,6 +174,12 @@ class TestSolveForS:
                           -1.0317204618990469e+188, 0)
         assert solve_for_s(c, 0) == [0j]
 
+    def test_rescue_that_underflows_quad_without_lin_gives_both_roots(self):
+        # the scaled quad underflows to 0 and lin = 0: the roots come from the unscaled row
+        c = IndicialConic(0, 0, 5e-324, 0, 0, 1)
+        assert solve_for_s(c, 0) == [-4.4989137945431964e+161j, 4.4989137945431964e+161j]
+        assert solve_for_s(c._replace(cF=-1), 0) == [-4.4989137945431964e+161, 4.4989137945431964e+161]
+
     def test_all_solutions_sentinel(self):
         assert solve_for_s(conic(1, 0, 0, 0, 0, -4), 2) is ALL_SOLUTIONS
 

@@ -2,6 +2,7 @@
 the per-point references in helpers.py: the same coefficient bits in the same
 key order, the same certificates and the same refusals."""
 
+import cmath
 import inspect
 import sys
 
@@ -13,7 +14,7 @@ from frobpde import catalog
 from frobpde.errors import BasePointNotOnConic, ResonantPoint
 from frobpde.frobenius import RegularSingularPDE, solve
 from frobpde.indicial import IndicialConic, resonance_scan
-from frobpde.multiseries import CSeries2
+from frobpde.multiseries import CSeries2, index_key, norm
 from helpers import CATALOG_MODELS, bits, reference_scan, reference_solve
 
 
@@ -23,7 +24,9 @@ def scan_bits(report):
 
 
 def outcome(fn, pde, r0, s0, N, policy):
-    """Coefficient bits and certificate of a solve, or the refusal."""
+    """Coefficient bits and certificate of a solve, or the refusal.  A
+    solution takes its table unchecked, so the table must already hold what
+    a CSeries2 would: no zero, no non-finite value, keys in canonical order."""
     try:
         sol = fn(pde, r0, s0, N, resonance_policy=policy)
     except ResonantPoint as exc:
@@ -31,6 +34,9 @@ def outcome(fn, pde, r0, s0, N, policy):
     except ValueError as exc:  # overflow: the sweep names the index, the reference does not
         assert str(exc).startswith("non-finite coefficient")
         return "non-finite"
+    assert all(v != 0 and cmath.isfinite(v) for v in sol.coeffs.values())
+    assert list(sol.coeffs) == sorted(sol.coeffs, key=index_key)
+    assert max(map(norm, sol.coeffs)) <= N
     return bits(sol), scan_bits(sol.resonance_certificate), sol.order
 
 

@@ -1,17 +1,19 @@
 import ast
+import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frobpde import catalog
+from frobpde import catalog, multiseries
 from frobpde.cli import _dump
 from frobpde.errors import OutsideEstimatedDomain
 from frobpde.expr_parser import parse_expr, to_series
-from frobpde.frobenius import FrobeniusSolution, RegularSingularPDE, solve
+from frobpde.frobenius import FrobeniusSolution, RegularSingularPDE, radius_estimate, solve
 from frobpde.multiseries import CSeries2, cauchy_mul
 from frobpde.verify import apply_operator, eval_solution, residual_max
 from helpers import CATALOG_MODELS
@@ -101,6 +103,15 @@ class TestApplyOperator:
         pde = make_pde(1, 2, 1, "1", "1", "x^2", order=3)
         with pytest.raises(ValueError):
             apply_operator(pde, 0, 0, {(5, 0): 1.0})
+
+    def test_zero_outputs_not_stored(self):
+        # P(0, 0) = 0 for Bessel: only the x^2 of c is left
+        assert apply_operator(BESSEL, 0, 0, CSeries2(2, {(0, 0): 1.0})) == {(2, 0): 1}
+
+    def test_overflow_refused(self):
+        # refused as a CSeries2 refuses it: T2 d = 2e308 at (2, 0) is beyond the float range
+        with pytest.raises(ValueError, match=r"non-finite coefficient \(inf"):
+            apply_operator(BESSEL, 0, 0, {(2, 0): 1e308})
 
     @given(operator_cases())
     @example(RAY)
@@ -199,3 +210,45 @@ class TestIndependentOfTheEngine:
         assert relative["multiseries"] == {"CSeries2", "norm"}
         assert relative["frobenius"] == {"radius_estimate"}
         assert "indicial" not in relative and "indicial" not in relative.get(None, ())
+
+
+class TestWorkDoneOnce:
+    #: sha256 of the (Q, real hex, imag hex) triples of the expanded a, b, c,
+    #: the tables that to_series formed eagerly before it kept fractions
+    TABLES = {"legendre_II": "6908d1f85bed3b9e4126fce335191228e2613f230523ad4e6e1c60bf1cba1c84",
+              "chebyshev_II": "acebcdba752ff50f85fd6c8562e35c585e5019033675383fec268e9debd3e1ee"}
+
+    @pytest.mark.parametrize("name, params", [("legendre_II", {"lam": 0.7}), ("chebyshev_II", {"p": 0.7})])
+    def test_dense_verified_solve(self, name, params):
+        # a verified solve reads only the cleared polynomials and the table the
+        # sweep checked: no fraction is expanded and no large table validated
+        calls = {"reciprocal": 0, "large tables": 0}
+
+        def count(frame, event, arg):  # the calls of the two functions, wherever they are imported
+            if event == "call" and frame.f_code is multiseries.reciprocal.__code__:
+                calls["reciprocal"] += 1
+            elif event == "call" and frame.f_code is CSeries2.__init__.__code__:
+                calls["large tables"] += len(frame.f_locals["coeffs"] or ()) >= 200
+
+        def counted(fn, *args, **kwargs):
+            sys.setprofile(count)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                sys.setprofile(None)
+
+        N = 40
+        ent = catalog.entry(name, **params)
+        pde = counted(catalog.make_pde, ent, N)  # parse and to_series
+        r0, s0 = catalog.default_point(ent)
+        sol = counted(solve, pde, r0, s0, N, resonance_policy=catalog.resonance_policy(ent))
+        assert len(sol.coeffs) >= 200
+        counted(residual_max, pde, sol)
+        counted(radius_estimate, sol)
+        counted(eval_solution, sol, 0.1, 0.1)
+        assert calls == {"reciprocal": 0, "large tables": 0}
+        a = counted(getattr, pde.a, "coeffs")  # a later read expands, once
+        assert calls["reciprocal"] == 1
+        assert counted(getattr, pde.a, "coeffs") is a and calls["reciprocal"] == 1
+        triples = [(Q, v.real.hex(), v.imag.hex()) for f in pde[3:] for Q, v in f.coeffs.items()]
+        assert hashlib.sha256(repr(triples).encode()).hexdigest() == self.TABLES[name]
