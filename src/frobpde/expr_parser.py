@@ -220,10 +220,7 @@ def to_series(ast, params, order):
     num, den = _fraction(ast, params, order)
     if den is None:
         return num
-    series = object.__new__(CSeries2)
-    object.__setattr__(series, "order", order)
-    object.__setattr__(series, "fraction", (num, den))
-    return series
+    return object.__new__(CSeries2)._set(order, fraction=(num, den))
 
 
 def _times(f, g):

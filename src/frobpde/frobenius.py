@@ -64,12 +64,7 @@ class ConvergenceReport(
 
     @property
     def any(self):
-        return (
-            self.parabolic_real_type
-            or self.elliptic_condition
-            or self.hyperbolic_condition
-            or self.general_sufficient
-        )
+        return any(self)
 
 
 def convergence_report(A, B, C):
@@ -112,9 +107,7 @@ class FrobeniusSolution(CSeries2):
     __slots__ = ("r0", "s0", "resonance_certificate", "convergence", "_radius")
 
     def __init__(self, r0, s0, order, coeffs, resonance_certificate, convergence):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "fraction", None)
+        self._set(order, coeffs)
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "resonance_certificate", resonance_certificate)
@@ -330,6 +323,6 @@ def _prepare_one(series, axis):
             raise ValueError(f"coefficient series for {axis} must be univariate")
     if series.constant_term() == 0:
         raise ZeroConstantTerm("leading coefficient vanishes at the origin")
-    w = _power(series, -0.5, 1.0)
+    w = _power(series, -0.5, 1.0 + 0j)
     support = [(m1, 0, 0, 0, 0, -v) for (m1, _), v in w.items() if m1]
     return CSeries2(series.order, layer_sweep(support, 0, 0, series.order, 1.0, lambda q1, q2, e: -e / q1))

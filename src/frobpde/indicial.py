@@ -105,9 +105,9 @@ def classify(conic, tol=DEFAULT_TOL):
 def solve_for_s(conic, r):
     """Roots s of P(r, s) = 0 for fixed r.
 
-    Returns a list of 0, 1 or 2 roots in a deterministic order, the
-    ALL_SOLUTIONS sentinel when the equation degenerates to 0 = 0, and
-    raises NoSolution when it degenerates to a nonzero constant.  A row whose
+    Returns the 0, 1 or 2 roots within the float range sorted by (real, imag),
+    ALL_SOLUTIONS when the equation degenerates to 0 = 0, and raises
+    NoSolution when it degenerates to a nonzero constant.  A row whose
     discriminant overflows, or whose lin^2 and 4 quad const both fall below the
     normal range, is first multiplied by its unit_scale, which keeps the roots.
     """
@@ -115,11 +115,16 @@ def solve_for_s(conic, r):
     quad = conic.cC
     lin = conic.cB * r + conic.cE
     const = conic.cA * r * r + conic.cD * r + conic.cF
+    if quad == 0 == lin:
+        if const == 0:
+            return ALL_SOLUTIONS
+        raise NoSolution(f"P({r}, s) = {const} has no root in s")
+    return sorted(filter(cmath.isfinite, _roots(quad, lin, const)), key=lambda z: (z.real, z.imag))
+
+
+def _roots(quad, lin, const):
+    """The roots of solve_for_s, unsorted, a root beyond the float range as inf or nan."""
     if quad == 0:
-        if lin == 0:
-            if const == 0:
-                return ALL_SOLUTIONS
-            raise NoSolution(f"P({r}, s) = {const} has no root in s")
         return [-const / lin]
     square, product = lin * lin, 4.0 * quad * const
     disc = square - product
@@ -128,7 +133,7 @@ def solve_for_s(conic, r):
         unit = unit_scale((quad, lin, const))
         if quad * unit == 0 and lin == 0:  # quad s^2 = -const: from the unscaled row, nothing underflows
             s1 = cmath.sqrt(-const) / cmath.sqrt(quad)
-            return sorted([s1, -s1], key=lambda z: (z.real, z.imag))
+            return [s1, -s1]
         quad, lin, const = quad * unit, lin * unit, const * unit
         if quad == 0:  # underflowed: linear to float precision, the other root beyond the float range
             return [-const / lin]
@@ -136,8 +141,7 @@ def solve_for_s(conic, r):
     if disc == 0:
         return [-lin / (2.0 * quad)]
     root = cmath.sqrt(disc)
-    s1, s2 = (-lin + root) / (2.0 * quad), (-lin - root) / (2.0 * quad)
-    return [s2, s1] if (s2.real, s2.imag) < (s1.real, s1.imag) else [s1, s2]
+    return [(-lin + root) / (2.0 * quad), (-lin - root) / (2.0 * quad)]
 
 
 class ResonanceReport(namedtuple("ResonanceReport", "r0 s0 bound hits nonresonant_up_to")):

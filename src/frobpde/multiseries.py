@@ -8,6 +8,7 @@ order is ascending norm, then ascending q1.
 
 import cmath
 import math
+from itertools import filterfalse
 
 from .errors import ZeroConstantTerm
 
@@ -19,6 +20,15 @@ def norm(Q):
 def index_key(Q):
     """Sort key realizing the canonical order: ascending norm, then q1."""
     return (Q[0] + Q[1], Q[0])
+
+
+def checked_table(pairs):
+    """The table rule of a series: the (Q, z) pairs as a table without exact
+    zeros, the first non-finite z refused with ValueError."""
+    table = {Q: z for Q, z in pairs if z}
+    for bad in filterfalse(cmath.isfinite, table.values()):
+        raise ValueError(f"non-finite coefficient {bad!r}")
+    return table
 
 
 class CSeries2:
@@ -34,22 +44,21 @@ class CSeries2:
         if order < 0:
             raise ValueError("order must be nonnegative")
         table = {}
-        if coeffs:
-            for Q, v in coeffs.items():
-                q1, q2 = Q
-                if q1 < 0 or q2 < 0:
-                    raise ValueError(f"negative exponent in index {Q}")
-                if q1 + q2 > order:
-                    continue
-                z = complex(v)
-                if z != 0:
-                    table[(q1, q2)] = z
-        if not all(map(cmath.isfinite, table.values())):
-            bad = next(z for z in table.values() if not cmath.isfinite(z))
-            raise ValueError(f"non-finite coefficient {bad!r}")
+        for Q, v in (coeffs or {}).items():
+            q1, q2 = Q
+            if q1 < 0 or q2 < 0:
+                raise ValueError(f"negative exponent in index {Q}")
+            if q1 + q2 <= order:
+                table[(q1, q2)] = complex(v)
+        self._set(order, checked_table(table.items()))
+
+    def _set(self, order, coeffs=None, fraction=None):
+        """Sets the slots to a table taken as it is, or to a fraction (num, den); returns self."""
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", table)
-        object.__setattr__(self, "fraction", None)
+        object.__setattr__(self, "fraction", fraction)
+        if fraction is None:
+            object.__setattr__(self, "coeffs", coeffs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("CSeries2 is immutable")
@@ -62,9 +71,8 @@ class CSeries2:
         if name != "coeffs" or self.fraction is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         num, den = self.fraction
-        table = cauchy_mul(num, reciprocal(den)).coeffs
-        object.__setattr__(self, "coeffs", table)
-        return table
+        object.__setattr__(self, "coeffs", cauchy_mul(num, reciprocal(den)).coeffs)
+        return self.coeffs
 
     # -- constructors ------------------------------------------------------
 
@@ -128,7 +136,7 @@ class CSeries2:
         return CSeries2(order, out)
 
     def __neg__(self):
-        return CSeries2(self.order, {Q: -v for Q, v in self.coeffs.items()})
+        return object.__new__(CSeries2)._set(self.order, {Q: -v for Q, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, CSeries2):
@@ -137,7 +145,7 @@ class CSeries2:
 
     def transpose(self):
         """Swap the roles of x and y."""
-        return CSeries2(self.order, {(q2, q1): v for (q1, q2), v in self.coeffs.items()})
+        return object.__new__(CSeries2)._set(self.order, {(q2, q1): v for (q1, q2), v in self.coeffs.items()})
 
     # -- evaluation and serialization --------------------------------------
 
@@ -152,7 +160,7 @@ class CSeries2:
 def cauchy_mul(f, g):
     """Full convolution product, truncated at min(order(f), order(g)): each
     coefficient summed from 0j over the tables in their dict order, f outer
-    and g inner; zero sums are kept until CSeries2 drops them."""
+    and g inner; zero sums are kept until the table rule drops them."""
     order = min(f.order, g.order)
     out = {}
     for (p1, p2), fv in f.coeffs.items():
@@ -164,7 +172,7 @@ def cauchy_mul(f, g):
                 continue
             key = (q1, q2)
             out[key] = out.get(key, 0j) + fv * gv
-    return CSeries2(order, out)
+    return object.__new__(CSeries2)._set(order, checked_table(out.items()))
 
 
 # -- the layer sweep ---------------------------------------------------------
@@ -188,8 +196,8 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
 
     `divide` is called only at the Q that some nonzero prior reaches, in
     ascending q1 within each layer; everywhere else e_Q = 0, so D_Q = 0.
-    Zero coefficients are not stored, and the first one that overflows to
-    inf or nan is refused with ValueError.
+    Zero coefficients (d0 too) are not stored, and the first one that is inf
+    or nan is refused with ValueError, d0 after the sweep.
     """
     if any(m[2] for m in support):  # the pieces of T for each q1 and q2, summed as in T
         A, B, C = symbol
@@ -222,7 +230,8 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
                 raise ValueError(f"non-finite coefficient D_({q1},{n - q1}) (layer {n}): {d!r}")
             row.append((q1, d))
         rows.append(row)
-    return {(q1, n - q1): d for n, row in enumerate(rows) for q1, d in row}
+    table = {(q1, n - q1): d for n, row in enumerate(rows) for q1, d in row}
+    return table if d0 and cmath.isfinite(d0) else checked_table(table.items())
 
 
 # -- series operations as Euler-type solves ----------------------------------
@@ -239,7 +248,7 @@ def _power(f, alpha, g0):
     f0 = f.constant_term()
     support = [(m1, m2, 0, v, v, -alpha * (m1 + m2) * v) for (m1, m2), v in f.items() if m1 + m2]
     table = layer_sweep(support, 0, 0, f.order, g0, lambda q1, q2, e: -e / (f0 * (q1 + q2)))
-    return CSeries2(f.order, table)
+    return object.__new__(CSeries2)._set(f.order, table)
 
 
 def reciprocal(f):
@@ -263,4 +272,4 @@ def exp_series(f):
     theta(g) = theta(f) g reads |Q| g_Q = sum_{m != 0} |m| f_m g_{Q-m}."""
     support = [(m1, m2, 0, 0, 0, -(m1 + m2) * v) for (m1, m2), v in f.items() if m1 + m2]
     table = layer_sweep(support, 0, 0, f.order, cmath.exp(f.constant_term()), lambda q1, q2, e: -e / (q1 + q2))
-    return CSeries2(f.order, table)
+    return object.__new__(CSeries2)._set(f.order, table)

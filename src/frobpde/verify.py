@@ -17,10 +17,11 @@ import math
 import warnings
 from bisect import bisect_right
 from collections import namedtuple
+from itertools import repeat
 
 from .errors import OutsideEstimatedDomain
 from .frobenius import radius_estimate
-from .multiseries import CSeries2, norm
+from .multiseries import CSeries2, checked_table, norm
 
 
 def apply_operator(pde, r0, s0, coeffs):
@@ -47,14 +48,13 @@ def apply_operator(pde, r0, s0, coeffs):
     The d_Q are sorted once, by layer, into columns: the packed keys, |Q|,
     and T2, Sx, Sy, S.  For a monomial m the d_Q with |Q| > M - |m| fall off
     the table, so its pass runs over the columns cut with bisect at that
-    room.  As for a CSeries2, zero outputs are not stored and a non-finite
-    one is refused with ValueError.
+    room.  The output keeps the table rule of a series (`checked_table`):
+    zero outputs are not stored and a non-finite one is refused with
+    ValueError.
     """
     r0 = complex(r0)
     s0 = complex(s0)
-    S = coeffs
-    if not isinstance(S, CSeries2):
-        S = CSeries2(max(map(norm, coeffs), default=0), coeffs)
+    S = coeffs if isinstance(coeffs, CSeries2) else CSeries2(max(map(norm, coeffs), default=0), coeffs)
     M = S.order
     if pde.order < M:
         raise ValueError("pde series order must be >= coefficient table order")
@@ -83,10 +83,7 @@ def apply_operator(pde, r0, s0, coeffs):
         if acc is not out:
             for key, v in acc.items():
                 out[key] = out.get(key, 0j) + v
-    if not all(map(cmath.isfinite, out.values())):
-        bad = next(v for v in out.values() if not cmath.isfinite(v))
-        raise ValueError(f"non-finite coefficient {bad!r}")
-    return {divmod(key, W): v for key, v in out.items() if v}
+    return checked_table(zip(map(divmod, out, repeat(W)), out.values()))
 
 
 class ResidualReport(namedtuple("ResidualReport", "max_residual per_layer checked_up_to")):

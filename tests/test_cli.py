@@ -229,12 +229,14 @@ class TestExitCodes:
 
     def test_auto_point_search_exhausted(self, tmp_path, capsys):
         # r = 0 has no root s; at every other candidate r the root is
-        # -1e300 / (1e-310 r), beyond the float range, so the point is not on
-        # the conic; so the search refuses
-        payload = dict(BESSEL, B=1e-310, C=0, b="0", c="1e300", point="auto", order=4)
-        assert main(["solve", write(tmp_path, payload)]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "refused: auto point search found no nonresonant conic point\n")
+        # -1e300 / (1e-310 r), beyond the float range, so solve_for_s leaves it
+        # out.  P = r^2 + s^2 + 3e20 has the roots s = +-i sqrt(r^2 + 3e20),
+        # where P rounds to far more than tol: no point is on the conic
+        for payload in (dict(BESSEL, B=1e-310, C=0, b="0", c="1e300", point="auto", order=4),
+                        dict(BESSEL, B=0, c="3e20", point="auto", order=4)):
+            assert main(["solve", write(tmp_path, payload)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "refused: auto point search found no nonresonant conic point\n")
 
     @pytest.mark.parametrize("argv, err", [
         (["catalog", "solve", "bessel_I", "--param", "nu"], "--param needs name=value, got 'nu' (at /params)"),
@@ -330,6 +332,11 @@ class TestOtherSubcommands:
         assert len(exponents) == 16  # a non-finite number would be the string "nan" or "inf"
         assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in exponents)
         assert payload["integral_point_families"] == {}  # 1e200 is no exact integer of the input
+
+    def test_euler_exponents_beyond_the_float_range_left_out(self, capsys):
+        # the roots 0.5 +- 4.5e311 sqrt(r^2 - r + 1) i of every candidate r are beyond the float range
+        assert main(["euler", "1e300", "0", "5e-324", "0", "0", "1e300"]) == 0
+        assert json.loads(capsys.readouterr().out)["monomial_exponents"] == []
 
     def test_euler_integers_end_below_2_53(self, capsys):
         # 2^53 + 1 is read as the double 2^53, so it is not the integer typed

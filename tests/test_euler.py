@@ -58,6 +58,10 @@ class TestEulerCoords:
         with pytest.raises(ValueError):
             euler_coords((1, 0, 0, 0, 0, 0), "sideways")
 
+    def test_six_coefficients_needed(self):
+        with pytest.raises(ValueError, match="expected six coefficients"):
+            euler_coords((1, 0, 0, 0, 0), "to_constant")
+
 
 def _conic_value(conic, r, s):
     A, B, C, D, E, F = conic

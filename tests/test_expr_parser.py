@@ -135,6 +135,14 @@ class TestErrors:
             with pytest.raises(ExprSyntaxError, match="empty expression at line 1, column 1"):
                 parse_expr(text)
 
+    def test_unknown_node_kind_refused(self):
+        # a tree that parse_expr does not make: pretty and to_series name its kind
+        tree = ("add", ("var", "x"), ("sqrt", ("var", "y")))
+        with pytest.raises(ValueError, match="unknown node kind 'sqrt'"):
+            pretty(tree)
+        with pytest.raises(ValueError, match="unknown node kind 'sqrt'"):
+            to_series(tree, {}, 4)
+
     def test_location_one_based(self):
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr("1 + $")

@@ -127,6 +127,8 @@ class TestSolveBasics:
         text = "x^2 - 0.25 + x^12"
         with pytest.raises(ValueError, match="exceeds the order 10 of the PDE series"):
             solve(make_pde(1, 2, 1, "1", "1", text, order=10), 0.5, 0, 20)
+        with pytest.raises(ValueError, match="order N must be >= 1"):
+            solve(make_pde(1, 2, 1, "1", "1", text, order=10), 0.5, 0, 0)
         sol = solve(make_pde(1, 2, 1, "1", "1", text, order=20), 0.5, 0, 20)
         assert sol.get((12, 0)) == pytest.approx(-6.41e-3, rel=1e-3)
 

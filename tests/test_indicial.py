@@ -180,6 +180,14 @@ class TestSolveForS:
         assert solve_for_s(c, 0) == [-4.4989137945431964e+161j, 4.4989137945431964e+161j]
         assert solve_for_s(c._replace(cF=-1), 0) == [-4.4989137945431964e+161, 4.4989137945431964e+161]
 
+    @pytest.mark.parametrize("row, r", [
+        ((0, 0, 5e-324, 0, 0, 1e300), 0),  # sqrt(-2e-23) / 1e-323: both roots overflow, no rescue runs
+        ((3, -2 + 2j, -0.061738121572278315, -0.765474725274937, 0.7827070784084487, -3),
+         -5.444194948896026e289),  # const overflows: the roots are nan
+    ])
+    def test_roots_beyond_the_float_range_left_out(self, row, r):
+        assert solve_for_s(IndicialConic(*row), r) == []
+
     def test_all_solutions_sentinel(self):
         assert solve_for_s(conic(1, 0, 0, 0, 0, -4), 2) is ALL_SOLUTIONS
 
@@ -208,6 +216,10 @@ class TestResonanceScan:
     def test_off_conic_refused(self):
         with pytest.raises(BasePointNotOnConic):
             resonance_scan(conic(1, 0, 0, 0, -1, 0), 1, 2, 10)
+
+    def test_bound_below_one_refused(self):
+        with pytest.raises(ValueError, match="scan bound N must be >= 1"):
+            resonance_scan(conic(1, 0, 0, 0, -1, 0), 1, 1, 0)
 
     def test_clean_scan(self):
         # Bessel I nu=0 at (0,0): P(q1,q2) = (q1+q2)^2 > 0 for |Q| >= 1

@@ -79,6 +79,12 @@ class TestCSeries2:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             series(3, {(-1, 0): 1.0})
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            CSeries2(-1)
+
+    def test_unknown_variable_rejected(self):
+        with pytest.raises(ValueError, match="unknown variable 'z'"):
+            CSeries2.variable("z", 2)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -97,6 +103,10 @@ class TestCSeries2:
         assert (f + g) == series(3, {(0, 0): 1.0, (0, 1): 1.0})
         assert (f - f) == CSeries2(3)
         assert (-f).get((1, 0)) == -2.0
+        with pytest.raises(TypeError):
+            f + 1.0
+        with pytest.raises(TypeError):
+            f - 1.0
 
     def test_mul_known_product(self):
         one_minus_x = series(4, {(0, 0): 1.0, (1, 0): -1.0})
@@ -180,6 +190,16 @@ class TestAnalyticTransforms:
     def test_sqrt_zero_constant_refused(self):
         with pytest.raises(ZeroConstantTerm):
             sqrt_series(series(3, {(1, 0): 1.0}))
+
+    def test_sweep_tables_keep_the_table_rule(self):
+        # the sweep's tables are taken unchecked, so the sweep drops a zero
+        # d0 and refuses a non-finite one: exp(-1000) = 0 and 1/5e-324 = inf
+        assert exp_series(series(3, {(0, 0): -1000.0})).coeffs == {}
+        assert exp_series(series(3, {(0, 0): -1000.0, (1, 0): 1.0})).coeffs == {}
+        with pytest.raises(ValueError, match=r"non-finite coefficient \(inf\+0j\)"):
+            reciprocal(series(2, {(0, 0): 5e-324}))
+        with pytest.raises(ValueError, match=r"non-finite coefficient D_\(1,0\) \(layer 1\)"):
+            reciprocal(series(2, {(0, 0): 5e-324, (1, 0): 1.0}))
 
     def test_exp_of_x(self):
         g = exp_series(series(6, {(1, 0): 1.0}))

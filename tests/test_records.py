@@ -75,3 +75,8 @@ PLAIN = [r for r, _ in RECORDS if not isinstance(r, (RegularSingularPDE, Problem
 @pytest.mark.parametrize("record", PLAIN, ids=[type(r).__name__ for r in PLAIN])
 def test_cli_writes_a_record_as_an_object_of_its_fields(record):
     assert list(json.loads(_dump(record))) == list(record._fields)
+
+
+def test_cli_refuses_to_write_an_unknown_type():
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        _dump({"hits": {(1, 0)}})

@@ -6,7 +6,8 @@ the tests or the benchmark, so no parameter has only one value.  Every
 public function and method of the modules the program runs is read by the
 package or the benchmark, but for a listed few kept by design.  Every public
 instance attribute that the package assigns is read by the package, the
-tests or the benchmark."""
+tests or the benchmark.  Only `multiseries` writes the slots of a series,
+and the refusal of the table rule is written once."""
 
 import ast
 from pathlib import Path
@@ -253,3 +254,67 @@ def test_checker_flags_an_unread_public_attribute():
         "b.py": "import a\nprint(a.K(1).d, a.K(2)._c)\n",
     }
     assert unread_public_attributes(sources, ["a.py"]) == [("a.py", "a"), ("a.py", "e"), ("a.py", "f")]
+
+
+#: the slots of a CSeries2, which only multiseries.py writes
+SERIES_SLOTS = ("order", "coeffs", "fraction")
+
+
+def writes_series_slot(node):
+    """Whether a node is a __setattr__ or setattr call with a series slot name
+    as a constant, or an assignment to an attribute of that name."""
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return (name in ("__setattr__", "setattr") and len(node.args) > 1
+                and getattr(node.args[1], "value", None) in SERIES_SLOTS)
+    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(isinstance(t, ast.Attribute) and t.attr in SERIES_SLOTS for tt in targets for t in ast.walk(tt))
+    return False
+
+
+def series_slot_writers(sources):
+    """(module, qualified function) for each function, outside multiseries.py,
+    that writes a series slot, in source order."""
+    found = []
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(module, child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if writes_series_slot(child) and (module, scope) not in found:
+                found.append((module, scope))
+            visit(module, child, scope)
+
+    for module, source in sources.items():
+        if module != "multiseries.py":
+            visit(module, ast.parse(source), "")
+    return found
+
+
+def test_only_multiseries_writes_series_slots():
+    sources = {p.name: p.read_text() for p in FILES if p.parent.name == "frobpde"}
+    assert series_slot_writers(sources) == []
+    refusal = "non-finite coefficient {bad!r}"
+    assert sum(source.count(refusal) for source in sources.values()) == 1
+
+
+def test_checker_flags_a_series_slot_written_outside_multiseries():
+    sources = {
+        "multiseries.py": "def f(s):\n    object.__setattr__(s, 'order', 1)\n",
+        "a.py": (
+            "class K:\n"
+            "    def __init__(self):\n"
+            "        object.__setattr__(self, 'coeffs', {})\n"
+            "        object.__setattr__(self, 'r0', 0)\n"
+            "def g(s, t):\n"
+            "    s._set(1, {})\n"
+            "    if s:\n"
+            "        t.fraction, u = None, 1\n"
+            "def h(s, name):\n"
+            "    setattr(s, name, 0)\n"
+            "    setattr(s, 'order', 0)\n"
+        ),
+    }
+    assert series_slot_writers(sources) == [("a.py", "K.__init__"), ("a.py", "g"), ("a.py", "h")]

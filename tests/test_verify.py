@@ -195,8 +195,9 @@ class TestEvalSolution:
 
 class TestIndependentOfTheEngine:
     def test_imports(self):
-        # the residual check shares nothing with the recurrence it checks:
-        # no layer sweep, no resonance scan, no precomputed P
+        # the residual check shares nothing with the recurrence it checks but
+        # the table rule of a series: no layer sweep, no resonance scan, no
+        # precomputed P
         tree = ast.parse((Path(__file__).parent.parent / "src" / "frobpde" / "verify.py").read_text())
         relative, absolute = {}, []
         for node in ast.walk(tree):
@@ -207,7 +208,7 @@ class TestIndependentOfTheEngine:
             elif isinstance(node, ast.Import):
                 absolute += [alias.name for alias in node.names]
         assert not [m for m in absolute if m.split(".")[0] == "frobpde"]
-        assert relative["multiseries"] == {"CSeries2", "norm"}
+        assert relative["multiseries"] == {"CSeries2", "checked_table", "norm"}
         assert relative["frobenius"] == {"radius_estimate"}
         assert "indicial" not in relative and "indicial" not in relative.get(None, ())
 
@@ -221,14 +222,17 @@ class TestWorkDoneOnce:
     @pytest.mark.parametrize("name, params", [("legendre_II", {"lam": 0.7}), ("chebyshev_II", {"p": 0.7})])
     def test_dense_verified_solve(self, name, params):
         # a verified solve reads only the cleared polynomials and the table the
-        # sweep checked: no fraction is expanded and no large table validated
-        calls = {"reciprocal": 0, "large tables": 0}
+        # sweep checked: no fraction is expanded and no large table checked
+        # twice, by the constructor or by the table rule (`checked_table`)
+        calls = []  # (function, entries): reciprocal, CSeries2.__init__ (its input), checked_table (its output)
 
-        def count(frame, event, arg):  # the calls of the two functions, wherever they are imported
+        def count(frame, event, arg):  # the calls of the three functions, wherever they are imported
             if event == "call" and frame.f_code is multiseries.reciprocal.__code__:
-                calls["reciprocal"] += 1
+                calls.append(("reciprocal", 0))
             elif event == "call" and frame.f_code is CSeries2.__init__.__code__:
-                calls["large tables"] += len(frame.f_locals["coeffs"] or ()) >= 200
+                calls.append(("constructor", len(frame.f_locals["coeffs"] or ())))
+            elif event == "return" and frame.f_code is multiseries.checked_table.__code__:
+                calls.append(("check", len(arg or ())))
 
         def counted(fn, *args, **kwargs):
             sys.setprofile(count)
@@ -246,9 +250,11 @@ class TestWorkDoneOnce:
         counted(residual_max, pde, sol)
         counted(radius_estimate, sol)
         counted(eval_solution, sol, 0.1, 0.1)
-        assert calls == {"reciprocal": 0, "large tables": 0}
-        a = counted(getattr, pde.a, "coeffs")  # a later read expands, once
-        assert calls["reciprocal"] == 1
-        assert counted(getattr, pde.a, "coeffs") is a and calls["reciprocal"] == 1
+        # one large table is checked: the residual, by apply_operator, which makes it
+        assert [kind for kind, n in calls if kind == "reciprocal" or n >= 200] == ["check"]
+        calls.clear()
+        a = counted(getattr, pde.a, "coeffs")  # a later read expands, once, and checks the product once
+        assert [kind for kind, _ in calls] == ["reciprocal", "check"]
+        assert counted(getattr, pde.a, "coeffs") is a and len(calls) == 2
         triples = [(Q, v.real.hex(), v.imag.hex()) for f in pde[3:] for Q, v in f.coeffs.items()]
         assert hashlib.sha256(repr(triples).encode()).hexdigest() == self.TABLES[name]
