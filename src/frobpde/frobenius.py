@@ -325,4 +325,5 @@ def _prepare_one(series, axis):
         raise ZeroConstantTerm("leading coefficient vanishes at the origin")
     w = _power(series, -0.5, 1.0 + 0j)
     support = [(m1, 0, 0, 0, 0, -v) for (m1, _), v in w.items() if m1]
-    return CSeries2(series.order, layer_sweep(support, 0, 0, series.order, 1.0, lambda q1, q2, e: -e / q1))
+    table = layer_sweep(support, 0, 0, series.order, 1.0 + 0j, lambda q1, q2, e: -e / q1)
+    return object.__new__(CSeries2)._set(series.order, table)

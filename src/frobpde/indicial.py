@@ -131,9 +131,13 @@ def _roots(quad, lin, const):
     if not cmath.isfinite(disc) or (abs(square.real) < 2.0 ** -1022 > abs(square.imag)
                                     and abs(product.real) < 2.0 ** -1022 > abs(product.imag)):
         unit = unit_scale((quad, lin, const))
-        if quad * unit == 0 and lin == 0:  # quad s^2 = -const: from the unscaled row, nothing underflows
-            s1 = cmath.sqrt(-const) / cmath.sqrt(quad)
-            return [s1, -s1]
+        if quad * unit == 0 == lin * unit:  # both underflow: from the unscaled row, where nothing does
+            if lin == 0:  # quad s^2 = -const
+                s1 = cmath.sqrt(-const) / cmath.sqrt(quad)
+                return [s1, -s1]
+            h = lin / (2.0 * quad)  # s = -h +- sqrt(h^2 - const / quad), with h^2 quad = h lin / 2
+            s1 = cmath.sqrt(h * lin / 2.0 - const) / cmath.sqrt(quad)
+            return [s1 - h, -s1 - h]
         quad, lin, const = quad * unit, lin * unit, const * unit
         if quad == 0:  # underflowed: linear to float precision, the other root beyond the float range
             return [-const / lin]
@@ -174,7 +178,12 @@ def resonance_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
     w takes that twice, plus 2 sqrt(m) sum |s_i| for the rest of the rounding
     of the roots; when cC = 0, u (a + S + 1)^2 / |lin| on c, S >= |s|, for
     underflow.  A row is evaluated whole when P is constant in s and when w
-    is not finite or spans the row.
+    is not finite or spans the row.  When cC != 0 and d1 = d2 = 0 (a pair of
+    parallel lines), each root moves on a line, s_i - s0 = t0_i - beta q1
+    with beta = cB / (2 cC), so for one W >= every row's w the rows whose
+    window can admit a q2 form an interval per root, found once; the scan
+    visits those and the top rows where 2 W spans the row, O(1) rows for
+    any N on the line-pair models, and no other.
     Each |P| is conic.evaluate(r, s), so the hits and their magnitudes are
     those of a scan of every shift, bit for bit.
     """
@@ -200,8 +209,28 @@ def resonance_scan(conic, r0, s0, N, tol=DEFAULT_TOL):
         bA, bB, bC, bD, bE, bF = (x * unit for x in mags)
         D2, D1, D0 = (_ROUNDING * t + _UNDERFLOW for t in (  # m D + u (a^2 + a + 1) = (D2 a + D1) a + D0
             bB * bB + 4.0 * bC * bA, 2.0 * bB * bE + 4.0 * bC * bD, bE * bE + 4.0 * bC * bF))
+    rows = range(N + 1)
+    if uC and not (d1 or d2):  # each root moves on a line: t = s_i - s0 = t0 - beta q1, with t0 at q1 = 0
+        a = R0 + N  # so W >= the w of every row: the largest a, |s_i - s0| <= aS, and twice that for rounding
+        aR, aL, aU, aH, aS = (math.hypot(z.real, z.imag) for z in (root, l0, uB, half, s0))
+        aS += (aR + aL + aU * N) * aH
+        W = 2.0 * (2.0 * _ROOT_ROUNDING * aS + math.sqrt((tol + _ROUNDING * ((aA * a + BSD) * a + CSEF)) / aC)
+                   + math.sqrt((D2 * a + D1) * a + D0) / bC)
+        beta, t0s = uB * half, ((root - l0) * half - s0, (-root - l0) * half - s0)
+        if math.isfinite(W) and all(map(cmath.isfinite, (beta,) + t0s)):
+            rows = set(range(max(0, math.ceil(max(0.0, N - 2.0 * W)) - 1), N + 1))  # 2 W >= last: evaluated whole
+            for t0 in t0s:  # the rows with -W <= Re t <= N - q1 + W and |Im t| <= W, and one more at each end
+                lo, hi = 0.0, float(N)
+                for k, b in ((beta.real, t0.real + W), (1.0 - beta.real, N + W - t0.real),
+                             (beta.imag, W + t0.imag), (-beta.imag, W - t0.imag)):  # k q1 <= b
+                    if k:
+                        lo, hi = (lo, min(hi, b / k)) if k > 0 else (max(lo, b / k), hi)
+                    elif b < 0:
+                        hi = -math.inf
+                if lo <= hi + 1:
+                    rows.update(range(max(0, math.ceil(lo) - 1), min(N, math.floor(hi) + 1) + 1))
     hits = []
-    for q1 in range(N + 1):
+    for q1 in rows:
         r, first, last, w = r0 + q1, (0 if q1 else 1), N - q1, math.inf
         a = R0 + q1  # bounds |r|
         slack = tol + _ROUNDING * ((aA * a + BSD) * a + CSEF)

@@ -338,6 +338,12 @@ class TestOtherSubcommands:
         assert main(["euler", "1e300", "0", "5e-324", "0", "0", "1e300"]) == 0
         assert json.loads(capsys.readouterr().out)["monomial_exponents"] == []
 
+    def test_euler_rescue_that_underflows_quad_and_lin(self, capsys):
+        # the conic times 1/2 rounds cC = cE = 5e-324 to 0; the roots -0.5 +- 4.5e161 i are in the float range
+        assert main(["euler", "0", "0", "5e-324", "0", "1e-323", "1"]) == 0
+        rows = json.loads(capsys.readouterr().out)["monomial_exponents"]
+        assert {tuple(row[2:]) for row in rows} == {(-0.5, -4.4989137945431964e+161), (-0.5, 4.4989137945431964e+161)}
+
     def test_euler_integers_end_below_2_53(self, capsys):
         # 2^53 + 1 is read as the double 2^53, so it is not the integer typed
         assert main(["euler", "9007199254740993", "0", "1", "0", "0", "1"]) == 0

@@ -180,6 +180,11 @@ class TestSolveForS:
         assert solve_for_s(c, 0) == [-4.4989137945431964e+161j, 4.4989137945431964e+161j]
         assert solve_for_s(c._replace(cF=-1), 0) == [-4.4989137945431964e+161, 4.4989137945431964e+161]
 
+    def test_rescue_that_underflows_quad_and_lin_gives_both_roots(self):
+        # the scaled quad and lin both underflow to 0 while lin != 0: -0.5 +- i sqrt(1 / 5e-324 - 1 / 4)
+        c = IndicialConic(0, 0, 5e-324, 0, 5e-324, 1)
+        assert solve_for_s(c, 0) == [-0.5 - 4.4989137945431964e+161j, -0.5 + 4.4989137945431964e+161j]
+
     @pytest.mark.parametrize("row, r", [
         ((0, 0, 5e-324, 0, 0, 1e300), 0),  # sqrt(-2e-23) / 1e-323: both roots overflow, no rescue runs
         ((3, -2 + 2j, -0.061738121572278315, -0.765474725274937, 0.7827070784084487, -3),

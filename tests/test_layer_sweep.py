@@ -67,10 +67,10 @@ def test_catalog_scans(name, params, N):
     assert scan_bits(resonance_scan(conic, r0, s0, N)) == scan_bits(reference_scan(conic, r0, s0, N))
 
 
-def count_evaluations(conic, r0, s0, N):
-    """(executions of the |P| line of resonance_scan, hits), counted by a line tracer."""
-    lines, start = inspect.getsourcelines(resonance_scan)
-    target = start + next(i for i, text in enumerate(lines) if "mag = abs(" in text)
+def count_line(marker, fn, *args):
+    """(executions of the one line of fn that holds the text marker, fn(*args)), counted by a line tracer."""
+    lines, start = inspect.getsourcelines(fn)
+    [target] = [start + i for i, text in enumerate(lines) if marker in text]
     count = 0
 
     def on_line(frame, event, arg):
@@ -79,21 +79,41 @@ def count_evaluations(conic, r0, s0, N):
         return on_line
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is resonance_scan.__code__ else None)
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is fn.__code__ else None)
     try:
-        report = resonance_scan(conic, r0, s0, N)
+        result = fn(*args)
     finally:
         sys.settrace(previous)
-    return count, len(report.hits)
+    return count, result
+
+
+def catalog_scan(name, params):
+    ent = catalog.entry(name, **params)
+    return catalog.make_pde(ent, 4).conic(), *catalog.default_point(ent)
+
+
+#: |P| evaluations of a catalog scan, by N, where they are not 1
+EVALUATIONS = {"disturbed_heat": {40: 16, 80: 24, 160: 34}}
 
 
 @pytest.mark.parametrize("N", [40, 80, 160])
 @pytest.mark.parametrize("name, params", CATALOG_MODELS)
 def test_scan_evaluations_grow_linearly(name, params, N):
     # the row windows evaluate P O(N + hits) times, where every shift is N (N + 3) / 2
-    ent = catalog.entry(name, **params)
-    count, hits = count_evaluations(catalog.make_pde(ent, 4).conic(), *catalog.default_point(ent), N)
-    assert 0 < count <= 2 * (N + hits)
+    count, report = count_line("mag = abs(", resonance_scan, *catalog_scan(name, params), N)
+    assert 0 < count <= 2 * (N + len(report.hits))
+    assert count == EVALUATIONS.get(name, {}).get(N, 1)
+
+
+@pytest.mark.parametrize("name, params", CATALOG_MODELS)
+def test_scan_rows_constant_in_N_on_line_pairs(name, params):
+    # a conic whose discriminant does not depend on q1 has root lines t_i = t0_i - beta q1:
+    # the scan computes a window only on the rows near them and on the top rows
+    rows = [count_line("a = R0 + q1", resonance_scan, *catalog_scan(name, params), N)[0] for N in (40, 80, 160)]
+    if name in ("bessel_II", "disturbed_heat"):  # r^2 + s^2 and r^2 - s: every row
+        assert rows == [41, 81, 161]
+    else:
+        assert rows[0] == rows[1] == rows[2] <= 6
 
 
 # -- hypothesis-drawn PDEs -----------------------------------------------------
@@ -214,15 +234,30 @@ point = st.one_of(
 )
 
 
+def expand(A, B, C, D, E, r0, s0, k):
+    """k (A u^2 + B uv + C v^2 + D u + E v) in u = r - r0, v = s - s0, as an IndicialConic."""
+    coeffs = (A, B, C, D - 2 * A * r0 - B * s0, E - B * r0 - 2 * C * s0,
+              A * r0 * r0 + B * r0 * s0 + C * s0 * s0 - D * r0 - E * s0)
+    return IndicialConic(*(k * complex(c) for c in coeffs))
+
+
+def parallel_lines(p, q, c, r0, s0, k):
+    """k (p u + q v)(p u + q v + c): the lines through (r0, s0) and through the shifts with p q1 + q q2 = -c."""
+    return expand(p * p, 2 * p * q, q * q, c * p, c * q, r0, s0, k)
+
+
 @st.composite
 def planted_conics(draw):
     """A u^2 + B uv + C v^2 + D u + E v in u = r - r0, v = s - s0, expanded:
     zero at (r0, s0) and, with D and E solved for, at one or two shifts."""
     N = draw(st.integers(1, 30))
-    kind = draw(st.sampled_from(["general", "parabolic", "linear rows"]))
+    kind = draw(st.sampled_from(["general", "parabolic", "linear rows", "parallel lines"]))
     if kind == "parabolic":  # k (p u + q v)^2: a double root on every row
         p, q, k = draw(small_int), draw(small_int), draw(st.sampled_from([1, -2, 0.5]))
         A, B, C = k * p * p, 2 * k * p * q, k * q * q
+    elif kind == "parallel lines":  # (p u + q v)(p u + q v + c): roots affine in q1, with a complex slope p / q
+        p, q = draw(small_complex), draw(small_complex)
+        A, B, C = p * p, 2 * p * q, q * q
     else:
         A, B = draw(small_int), draw(small_int)
         C = 0 if kind == "linear rows" else draw(small_int)  # C = 0: P is linear in s where lin != 0
@@ -231,7 +266,10 @@ def planted_conics(draw):
     (a1, b1), (a2, b2) = draw(shift), draw(shift)
     quad1, quad2 = A * a1 * a1 + B * a1 * b1 + C * b1 * b1, A * a2 * a2 + B * a2 * b2 + C * b2 * b2
     det = a1 * b2 - a2 * b1
-    if det and draw(st.booleans()):  # through both shifts
+    if kind == "parallel lines":  # the second line through the first shift
+        c = -(p * a1 + q * b1)
+        D, E = c * p, c * q
+    elif det and draw(st.booleans()):  # through both shifts
         D, E = (-quad1 * b2 + quad2 * b1) / det, (-quad2 * a1 + quad1 * a2) / det
     elif b1:  # through the first
         E = -(quad1 + D * a1) / b1
@@ -239,10 +277,8 @@ def planted_conics(draw):
         D = -quad1 / a1
     r0, s0 = draw(point), draw(point)
     k = draw(st.sampled_from([1, -1, 1j, 2 - 3j, 1e-6, 1e6]))
-    coeffs = (A, B, C, D - 2 * A * r0 - B * s0, E - B * r0 - 2 * C * s0,
-              A * r0 * r0 + B * r0 * s0 + C * s0 * s0 - D * r0 - E * s0)
     tol = draw(st.sampled_from([1e-9, 1e-3, 0.0, 1e-9, 1e-3, 1e300]))
-    return IndicialConic(*(k * complex(c) for c in coeffs)), r0, s0, N, tol
+    return expand(A, B, C, D, E, r0, s0, k), r0, s0, N, tol
 
 
 def scan_outcome(scan, conic, r0, s0, N, tol):
@@ -287,6 +323,19 @@ def scan_outcome(scan, conic, r0, s0, N, tol):
                         -99999 * 2.0 ** -560 * (1 + 2.0 ** -14) + 0j), 0, 99999, 10, 1.5 * 2.0 ** -560))
 # (u - 3)(u + 3v) at r0 = 0.1, cC = 0: lin rounds to 0 on row 3, every shift of which hits
 @example((IndicialConic(1 + 0j, 3 + 0j, 0j, -3.2 + 0j, -9.3 + 0j, 0.31000000000000005 + 0j), 0.1, 0, 12, 1e-9))
+# parallel lines at r0 = 1e8: terms near 1e16 leave the hits (0, 3) and (3, 0) of the layer q1 + q2 = 3
+@example((parallel_lines(1, 1, -3, 1e8, 0, 1), 1e8, 0, 20, 1e-3))
+# a complex slope beta = p / q = (1 - i) / 2 of the root lines
+@example((parallel_lines(1, 1 + 1j, -3 - 1j, 0.5, 0.5j, 1), 0.5, 0.5j, 20, 1e-9))
+# p = 0, so uB = 0: the roots do not move from row to row, and every row has a hit at q2 = 3
+@example((parallel_lines(0, 1, -3, 0.5, 0.25, 1), 0.5, 0.25, 20, 1e-9))
+# the conic times 2^60 and 2^-60, with hits at (1, 2), (3, 1) and (5, 0)
+@example((parallel_lines(1, 2, -5, 0.5, 0.25, 2.0 ** 60), 0.5, 0.25, 20, 1e-9))
+@example((parallel_lines(1, 2, -5, 0.5, 0.25, 2.0 ** -60), 0.5, 0.25, 20, 1e-27))
+# the second line q1 + q2 = 30.01 lies just beyond the end of every row, within its window
+@example((parallel_lines(1, 1, -30.01, 0.5, 0.25, 1), 0.5, 0.25, 30, 1.0))
+# P = 3e-309 (1 + i) s^2 + s: 1 / (2 cC) has finite parts, yet its magnitude is beyond the float range
+@example((IndicialConic(0j, 0j, 3e-309 + 3e-309j, 0j, 1 + 0j, 0j), 0, 0, 5, 1e-9))
 def test_planted_hits(case):
     got = scan_outcome(resonance_scan, *case)
     assert got == scan_outcome(reference_scan, *case)

@@ -13,7 +13,7 @@ from frobpde import catalog, multiseries
 from frobpde.cli import _dump
 from frobpde.errors import OutsideEstimatedDomain
 from frobpde.expr_parser import parse_expr, to_series
-from frobpde.frobenius import FrobeniusSolution, RegularSingularPDE, radius_estimate, solve
+from frobpde.frobenius import FrobeniusSolution, RegularSingularPDE, prepare_coordinates, radius_estimate, solve
 from frobpde.multiseries import CSeries2, cauchy_mul
 from frobpde.verify import apply_operator, eval_solution, residual_max
 from helpers import CATALOG_MODELS
@@ -219,14 +219,12 @@ class TestWorkDoneOnce:
     TABLES = {"legendre_II": "6908d1f85bed3b9e4126fce335191228e2613f230523ad4e6e1c60bf1cba1c84",
               "chebyshev_II": "acebcdba752ff50f85fd6c8562e35c585e5019033675383fec268e9debd3e1ee"}
 
-    @pytest.mark.parametrize("name, params", [("legendre_II", {"lam": 0.7}), ("chebyshev_II", {"p": 0.7})])
-    def test_dense_verified_solve(self, name, params):
-        # a verified solve reads only the cleared polynomials and the table the
-        # sweep checked: no fraction is expanded and no large table checked
-        # twice, by the constructor or by the table rule (`checked_table`)
-        calls = []  # (function, entries): reciprocal, CSeries2.__init__ (its input), checked_table (its output)
-
-        def count(frame, event, arg):  # the calls of the three functions, wherever they are imported
+    @staticmethod
+    def recorder(calls):
+        """A function that runs fn(*args, **kwargs) and appends to calls the
+        (function, entries) of each run of reciprocal, CSeries2.__init__ (its
+        input) and checked_table (its output), wherever they are imported."""
+        def count(frame, event, arg):
             if event == "call" and frame.f_code is multiseries.reciprocal.__code__:
                 calls.append(("reciprocal", 0))
             elif event == "call" and frame.f_code is CSeries2.__init__.__code__:
@@ -240,7 +238,15 @@ class TestWorkDoneOnce:
                 return fn(*args, **kwargs)
             finally:
                 sys.setprofile(None)
+        return counted
 
+    @pytest.mark.parametrize("name, params", [("legendre_II", {"lam": 0.7}), ("chebyshev_II", {"p": 0.7})])
+    def test_dense_verified_solve(self, name, params):
+        # a verified solve reads only the cleared polynomials and the table the
+        # sweep checked: no fraction is expanded and no large table checked
+        # twice, by the constructor or by the table rule (`checked_table`)
+        calls = []
+        counted = self.recorder(calls)
         N = 40
         ent = catalog.entry(name, **params)
         pde = counted(catalog.make_pde, ent, N)  # parse and to_series
@@ -258,3 +264,13 @@ class TestWorkDoneOnce:
         assert counted(getattr, pde.a, "coeffs") is a and len(calls) == 2
         triples = [(Q, v.real.hex(), v.imag.hex()) for f in pde[3:] for Q, v in f.coeffs.items()]
         assert hashlib.sha256(repr(triples).encode()).hexdigest() == self.TABLES[name]
+
+    def test_prepare_coordinates(self):
+        # each axis is a power and a sweep, whose tables the sweeps checked: no constructor runs
+        A = CSeries2(24, {(0, 0): 2.0, (1, 0): 0.5, (3, 0): -0.25})
+        C = CSeries2(24, {(0, 0): 0.5, (0, 2): 0.125})
+        calls = []
+        f, g = self.recorder(calls)(prepare_coordinates, A, C)
+        assert [kind for kind, _ in calls] == []
+        assert (len(f.coeffs), len(g.coeffs)) == (25, 13)  # g is even in y
+        assert all(type(v) is complex for h in (f, g) for v in h.coeffs.values())
