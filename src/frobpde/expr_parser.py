@@ -228,7 +228,7 @@ def _times(f, g):
     return f if g is None else g if f is None else cauchy_mul(f, g)
 
 
-def _power(f, k):
+def _int_power(f, k):
     """f^k by squaring, over the bits of k from the top: about 2 log2(k)
     products, k up to k = 3, with the bits of 1 f f f one factor at a time,
     as a product's bits depend on its factors' values, not their zeros' signs."""
@@ -259,7 +259,7 @@ def _fraction(ast, params, order):
         return -num, den
     if kind == "pow":
         num, den = _fraction(ast[1], params, order)
-        return _power(num, ast[2]), None if den is None else _power(den, ast[2])
+        return _int_power(num, ast[2]), None if den is None else _int_power(den, ast[2])
     if kind not in ("add", "sub", "mul", "div"):
         raise ValueError(f"unknown node kind {kind!r}")
     (n1, d1), (n2, d2) = _fraction(ast[1], params, order), _fraction(ast[2], params, order)

@@ -15,7 +15,7 @@ from functools import reduce
 
 from .errors import ResonantPoint, ZeroConstantTerm
 from .indicial import DEFAULT_TOL, IndicialConic, resonance_scan, unit_scale
-from .multiseries import CSeries2, _power, cauchy_mul, index_key, layer_sweep
+from .multiseries import CSeries2, _power, cauchy_mul, index_key, layer_sweep, norm, spans_plane
 
 
 class RegularSingularPDE(namedtuple("RegularSingularPDE", "A B C a b c")):
@@ -100,18 +100,20 @@ def convergence_report(A, B, C):
 class FrobeniusSolution(CSeries2):
     """x^r0 y^s0 sum D_Q x^q1 y^q2: the coefficient series (D_{0,0} = 1) with
     its exponent pair, the resonance scan it was solved under, the convergence
-    report of its leading coefficients and, once made, its radius_estimate.
-    The table is taken as its own, unchecked: one as `layer_sweep` returns
-    it, with no zero or non-finite value, keys in canonical order."""
+    report of its leading coefficients, whether it terminates (every D_Q past
+    the table is 0) and, once made, its radius_estimate.  The table is taken
+    as its own, unchecked: one as `layer_sweep` returns it, with no zero or
+    non-finite value, keys in canonical order."""
 
-    __slots__ = ("r0", "s0", "resonance_certificate", "convergence", "_radius")
+    __slots__ = ("r0", "s0", "resonance_certificate", "convergence", "terminates", "_radius")
 
-    def __init__(self, r0, s0, order, coeffs, resonance_certificate, convergence):
+    def __init__(self, r0, s0, order, coeffs, resonance_certificate, convergence, terminates=False):
         self._set(order, coeffs)
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "resonance_certificate", resonance_certificate)
         object.__setattr__(self, "convergence", convergence)
+        object.__setattr__(self, "terminates", terminates)
         object.__setattr__(self, "_radius", None)
 
 
@@ -132,8 +134,9 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     The layers are swept in order over the lattice points reachable from
     the support: D_Q is computed only where some nonzero D_P and support
     monomial m give P + m = Q.  Everywhere else e_Q = 0 exactly, so D_Q = 0
-    (at a hit too).  The first coefficient that overflows to inf or nan is
-    refused with ValueError.
+    (at a hit too), and the solution terminates when the d layers past its
+    last nonzero one are empty, d the largest |m|.  The first coefficient
+    that overflows to inf or nan is refused with ValueError.
 
     The engine is indifferent to the convergence conditions: it computes
     formal solutions even when no sufficient condition holds.
@@ -155,10 +158,24 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
             certificate.hits,
         )
 
-    scale = 1.0
+    polys = pde.cleared()
+    monomials = sorted(set().union(*(f.coeffs for f in polys)) - {(0, 0)}, key=index_key)
+    support = [(*m, *(f.get(m) for f in polys)) for m in monomials]  # (m1, m2, q_m, a_m, b_m, c_m)
     cA, cB, cC, cD, cE, cF = conic
+    scale = 1.0
+    if spans_plane(monomials):  # P(r, s) as conic.evaluate sums it, from the factors of one axis per value
+        rs, ss = [r0 + q1 for q1 in range(N + 1)], [s0 + q2 for q2 in range(N + 1)]
+        Ar, Br, Dr = [cA * r * r for r in rs], [cB * r for r in rs], [cD * r for r in rs]
+        Cs, Es = [cC * s * s for s in ss], [cE * s for s in ss]
 
-    def divide(q1, q2, e):
+        def divide(q1, q2, e):
+            return -e / (Ar[q1] + Br[q1] * ss[q2] + Cs[q2] + Dr[q1] + Es[q2] + cF)
+    else:
+        def divide(q1, q2, e):
+            r, s = r0 + q1, s0 + q2  # P(r, s) as conic.evaluate sums it, without the call
+            return -e / (cA * r * r + cB * r * s + cC * s * s + cD * r + cE * s + cF)
+
+    def divide_at_hits(q1, q2, e):
         nonlocal scale
         if (q1, q2) in hit_set:
             if abs(e) <= tol * scale:
@@ -169,18 +186,15 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
                 "solution with this exponent pair",
                 certificate.hits,
             )
-        r, s = r0 + q1, s0 + q2  # P(r, s) as conic.evaluate sums it, without the call
-        d = -e / (cA * r * r + cB * r * s + cC * s * s + cD * r + cE * s + cF)
+        d = divide(q1, q2, e)
         if abs(d) > scale:
             scale = abs(d)
         return d
 
-    polys = pde.cleared()
-    monomials = sorted(set().union(*(f.coeffs for f in polys)) - {(0, 0)}, key=index_key)
-    support = [(*m, *(f.get(m) for f in polys)) for m in monomials]  # (m1, m2, q_m, a_m, b_m, c_m)
-    table = layer_sweep(support, r0, s0, N, 1.0 + 0j, divide, (pde.A, pde.B, pde.C))
+    table = layer_sweep(support, r0, s0, N, 1.0 + 0j, divide_at_hits if hit_set else divide, (pde.A, pde.B, pde.C))
     report = convergence_report(pde.A, pde.B, pde.C)
-    return FrobeniusSolution(r0, s0, N, table, certificate, report)
+    terminates = norm(next(reversed(table))) + (norm(monomials[-1]) if monomials else 0) <= N
+    return FrobeniusSolution(r0, s0, N, table, certificate, report, terminates)
 
 
 _RATIO_FIT_DEGREE = 2
@@ -211,11 +225,11 @@ def radius_estimate(sol, order=None):
       progression, the rate is e^beta, with beta the least-squares slope
       of log d_n against n over the nonzero top-half layers.
 
-    Returns the +inf sentinel when every top-half layer vanishes or the rate
-    is zero or underflows, and 0.0 when it overflows.  Accepts a CSeries2
-    (a FrobeniusSolution is one) or a plain {(q1, q2): coefficient} table,
-    truncated at `order` (default: its highest layer, the estimate that a
-    FrobeniusSolution keeps).
+    Returns the +inf sentinel for a FrobeniusSolution that terminates, when
+    every top-half layer vanishes or the rate is zero or underflows, and 0.0
+    when it overflows.  Accepts a CSeries2 (a FrobeniusSolution is one) or a
+    plain {(q1, q2): coefficient} table, truncated at `order` (default: its
+    highest layer, the estimate that a FrobeniusSolution keeps).
     """
     if isinstance(sol, FrobeniusSolution) and order is None:
         if sol._radius is None:  # with an order given, this call skips the cache
@@ -228,7 +242,7 @@ def radius_estimate(sol, order=None):
     N = sol.order
     if N < 10:
         raise ValueError("radius_estimate needs order N >= 10")
-    if not any(sums[n] > 0.0 for n in range(N // 2, N + 1)):
+    if isinstance(sol, FrobeniusSolution) and sol.terminates or not any(sums[n] > 0.0 for n in range(N // 2, N + 1)):
         return math.inf
     rate = _ratio_rate(sums, N)
     if rate is None:

@@ -181,6 +181,11 @@ def cauchy_mul(f, g):
 # support monomials m != (0, 0) with the layers below |Q|.
 
 
+def spans_plane(monomials):
+    """Whether two of the monomials (m1, m2, ...), none of them (0, 0), are not collinear."""
+    return len(monomials) > 1 and any(m[0] * monomials[0][1] - m[1] * monomials[0][0] for m in monomials[1:])
+
+
 def layer_sweep(support, r, s, order, d0, divide, symbol=None):
     """Coefficient table {(q1, q2): D_Q} up to |Q| = order, in canonical
     order, with D_(0,0) = d0 and D_Q = divide(q1, q2, e_Q) on every later
@@ -193,27 +198,46 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
     its terms in canonical monomial order, starting from +0j.
     T(p', q') = A p'(p'-1) + B p'q' + C q'(q'-1) is the second-order symbol
     of symbol = (A, B, C); a monomial with t_m = 0 does not evaluate it.
+    On a support that spans a plane, p' a_m and q' b_m are tabulated per q1
+    and q2, which many Q share; on a ray each Q computes them.
 
     `divide` is called only at the Q that some nonzero prior reaches, in
     ascending q1 within each layer; everywhere else e_Q = 0, so D_Q = 0.
+    Only layers on multiples of the gcd of the |m| are reached, and after d
+    empty layers, d the largest |m|, every later e_Q is 0: the sweep stops.
     Zero coefficients (d0 too) are not stored, and the first one that is inf
     or nan is refused with ValueError, d0 after the sweep.
     """
-    if any(m[2] for m in support):  # the pieces of T for each q1 and q2, summed as in T
+    sizes = [m[0] + m[1] for m in support] or [0]  # ascending
+    step, reach = math.gcd(*sizes) or order + 1, sizes[-1]  # no support: no layer past 0
+    plane, symbolic = spans_plane(support), any(m[2] for m in support)
+    if plane or symbolic:
+        ps, qs = [i + r for i in range(order + 1)], [j + s for j in range(order + 1)]
+    if symbolic:  # the pieces of T for each q1 and q2, summed as in T
         A, B, C = symbol
-        ps = [i + r for i in range(order + 1)]
-        qs = [j + s for j in range(order + 1)]
         Ap = [A * p * (p - 1) for p in ps]
         Bp = [B * p for p in ps]
         Cq = [C * q * (q - 1) for q in qs]
-    rows = [[(0, d0)]]  # rows[n]: (q1, D_Q) of the nonzero D_Q of layer n, ascending q1
-    for n in range(1, order + 1):
+    if plane:
+        support = [(*m[:3], [p * m[3] for p in ps], [q * m[4] for q in qs], m[5]) for m in support]
+    rows = [[(0, d0)]] + [[]] * order  # rows[n]: (q1, D_Q) of the nonzero D_Q of layer n, ascending q1
+    last = 0
+    for n in range(step, order + 1, step):
+        if n > last + reach:  # layers n - d .. n - 1 are empty
+            break
         rhs = {}  # q1 -> e_Q of layer n
         for m1, m2, tm, am, bm, cm in support:
             k = n - m1 - m2
             if k < 0:
                 break
-            if tm:
+            if plane and tm:
+                for i, d in rows[k]:
+                    w = tm * (Ap[i] + Bp[i] * qs[k - i] + Cq[k - i]) + am[i] + bm[k - i] + cm
+                    rhs[i + m1] = rhs.get(i + m1, 0j) + w * d
+            elif plane:
+                for i, d in rows[k]:
+                    rhs[i + m1] = rhs.get(i + m1, 0j) + (am[i] + bm[k - i] + cm) * d
+            elif tm:
                 for i, d in rows[k]:
                     p, q = ps[i], qs[k - i]
                     w = tm * (Ap[i] + Bp[i] * q + Cq[k - i]) + p * am + q * bm + cm
@@ -221,15 +245,15 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
             else:
                 for i, d in rows[k]:
                     rhs[i + m1] = rhs.get(i + m1, 0j) + ((i + r) * am + (k - i + s) * bm + cm) * d
-        row = []
+        row = rows[n] = []
         for q1 in sorted(rhs):
             d = divide(q1, n - q1, rhs[q1])
-            if d == 0:
-                continue
-            if not (math.isfinite(d.real) and math.isfinite(d.imag)):
-                raise ValueError(f"non-finite coefficient D_({q1},{n - q1}) (layer {n}): {d!r}")
-            row.append((q1, d))
-        rows.append(row)
+            if d:
+                if not cmath.isfinite(d):
+                    raise ValueError(f"non-finite coefficient D_({q1},{n - q1}) (layer {n}): {d!r}")
+                row.append((q1, d))
+        if row:
+            last = n
     table = {(q1, n - q1): d for n, row in enumerate(rows) for q1, d in row}
     return table if d0 and cmath.isfinite(d0) else checked_table(table.items())
 

@@ -43,14 +43,16 @@ def apply_operator(pde, r0, s0, coeffs):
     bit for bit: 0j + z differs from z only in a part that is -0.0, and no
     part of o is -0.0 (o starts as 0j plus a term, and a sum of floats is
     -0.0 only when both are).  So such an f adds straight into the output,
-    and an f with more monomials sums into a table of its own first.
+    and so does the first f, as the empty output takes 0j + v = v for a sum
+    v from 0j.  Any other f sums into a table of its own first.
 
     The d_Q are sorted once, by layer, into columns: the packed keys, |Q|,
-    and T2, Sx, Sy, S.  For a monomial m the d_Q with |Q| > M - |m| fall off
-    the table, so its pass runs over the columns cut with bisect at that
-    room.  The output keeps the table rule of a series (`checked_table`):
-    zero outputs are not stored and a non-finite one is refused with
-    ValueError.
+    and T2, Sx, Sy, S; with more d_Q than values of q1, which a ray never
+    has, their factors that depend on one axis are tabulated per value.  For
+    a monomial m the d_Q with |Q| > M - |m| fall off the table, so its pass
+    runs over the columns cut with bisect at that room.  The output keeps
+    the table rule of a series (`checked_table`): zero outputs are not
+    stored and a non-finite one is refused with ValueError.
     """
     r0 = complex(r0)
     s0 = complex(s0)
@@ -63,17 +65,24 @@ def apply_operator(pde, r0, s0, coeffs):
     items = S.items()  # by ascending |Q|
     keys = [q1 * W + q2 for (q1, q2), _ in items]
     norms = [q1 + q2 for (q1, q2), _ in items]
-    T2, Sx, Sy = [], [], []
-    for (q1, q2), d in items:
-        rr, ss = q1 + r0, q2 + s0
-        T2.append((A * rr * (rr - 1) + B * rr * ss + C * ss * (ss - 1)) * d)
-        Sx.append(rr * d)
-        Sy.append(ss * d)
+    if len(items) > W:  # some d_Q share q1 (and q2): the factors of one axis, once per value
+        r_of, s_of = [q1 + r0 for q1 in range(W)], [q2 + s0 for q2 in range(W)]
+        Ar, Br = [A * rr * (rr - 1) for rr in r_of], [B * rr for rr in r_of]
+        Cs = [C * ss * (ss - 1) for ss in s_of]
+        T2 = [(Ar[q1] + Br[q1] * s_of[q2] + Cs[q2]) * d for (q1, q2), d in items]
+        Sx, Sy = [r_of[q1] * d for (q1, _), d in items], [s_of[q2] * d for (_, q2), d in items]
+    else:
+        T2, Sx, Sy = [], [], []
+        for (q1, q2), d in items:
+            rr, ss = q1 + r0, q2 + s0
+            T2.append((A * rr * (rr - 1) + B * rr * ss + C * ss * (ss - 1)) * d)
+            Sx.append(rr * d)
+            Sy.append(ss * d)
     columns = (T2, Sx, Sy, [d for _, d in items])
     out = {}
     for f, column in zip(pde.cleared(), columns):
-        # a one-monomial f adds straight into out (see the docstring)
-        acc = out if len(f.coeffs) == 1 else {}
+        # a one-monomial f, and the first f, add straight into out (see the docstring)
+        acc = out if len(f.coeffs) == 1 or not out else {}
         get = acc.get
         for (m1, m2), fv in f.coeffs.items():
             shift, cut = m1 * W + m2, bisect_right(norms, M - m1 - m2)

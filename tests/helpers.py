@@ -3,8 +3,10 @@ per-point references for the engine and the resonance scan, exact
 references for the series operations and for `to_series`, and the
 character-by-character reference for the expression tokenizer."""
 
+import inspect
 import math
 import re
+import sys
 from fractions import Fraction
 
 from frobpde.errors import BasePointNotOnConic, ExprSyntaxError, ResonantPoint
@@ -127,6 +129,27 @@ def reference_solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     report = convergence_report(pde.A, pde.B, pde.C)
     # a solution takes its table as it is: drop the zeros (the 0j at hits too) as the sweep does
     return FrobeniusSolution(r0, s0, N, CSeries2(N, table).coeffs, certificate, report)
+
+
+def count_line(marker, fn, *args, via=None):
+    """(executions of the one line of fn that holds the text marker, result),
+    counted by a line tracer while fn(*args), or via(*args) when given, runs."""
+    lines, start = inspect.getsourcelines(fn)
+    [target] = [start + i for i, text in enumerate(lines) if marker in text]
+    count = 0
+
+    def on_line(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == target
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is fn.__code__ else None)
+    try:
+        result = (via or fn)(*args)
+    finally:
+        sys.settrace(previous)
+    return count, result
 
 
 def bits(series):

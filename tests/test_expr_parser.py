@@ -13,7 +13,7 @@ from frobpde.errors import (
     ExprSyntaxError,
     UnboundParameter,
 )
-from frobpde.expr_parser import _MAX_NESTING, _power, _tokenize, parse_expr, pretty, to_series
+from frobpde.expr_parser import _MAX_NESTING, _int_power, _tokenize, parse_expr, pretty, to_series
 from frobpde.multiseries import CSeries2, cauchy_mul, reciprocal
 from helpers import (
     bits,
@@ -237,7 +237,7 @@ class TestEvaluation:
             one_at_a_time = CSeries2.one(5)
             for _ in range(k):
                 one_at_a_time = cauchy_mul(one_at_a_time, g)
-            assert bits(_power(g, k)) == bits(one_at_a_time)
+            assert bits(_int_power(g, k)) == bits(one_at_a_time)
 
     def test_rational_normalization(self):
         # (1-x^2) * [x^2/(1-x^2)] == x^2 up to the truncation order

@@ -3,8 +3,8 @@ the per-point references in helpers.py: the same coefficient bits in the same
 key order, the same certificates and the same refusals."""
 
 import cmath
-import inspect
-import sys
+import math
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from frobpde import catalog
 from frobpde.errors import BasePointNotOnConic, ResonantPoint
-from frobpde.frobenius import RegularSingularPDE, solve
+from frobpde.expr_parser import parse_expr, to_series
+from frobpde.frobenius import RegularSingularPDE, radius_estimate, solve
 from frobpde.indicial import IndicialConic, resonance_scan
-from frobpde.multiseries import CSeries2, index_key, norm
-from helpers import CATALOG_MODELS, bits, reference_scan, reference_solve
+from frobpde.multiseries import CSeries2, index_key, layer_sweep, norm
+from frobpde.verify import apply_operator, eval_solution, residual_max
+from helpers import CATALOG_MODELS, bits, count_line, reference_scan, reference_solve
 
 
 def scan_bits(report):
@@ -67,26 +69,6 @@ def test_catalog_scans(name, params, N):
     assert scan_bits(resonance_scan(conic, r0, s0, N)) == scan_bits(reference_scan(conic, r0, s0, N))
 
 
-def count_line(marker, fn, *args):
-    """(executions of the one line of fn that holds the text marker, fn(*args)), counted by a line tracer."""
-    lines, start = inspect.getsourcelines(fn)
-    [target] = [start + i for i, text in enumerate(lines) if marker in text]
-    count = 0
-
-    def on_line(frame, event, arg):
-        nonlocal count
-        count += event == "line" and frame.f_lineno == target
-        return on_line
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is fn.__code__ else None)
-    try:
-        result = fn(*args)
-    finally:
-        sys.settrace(previous)
-    return count, result
-
-
 def catalog_scan(name, params):
     ent = catalog.entry(name, **params)
     return catalog.make_pde(ent, 4).conic(), *catalog.default_point(ent)
@@ -116,6 +98,72 @@ def test_scan_rows_constant_in_N_on_line_pairs(name, params):
         assert rows[0] == rows[1] == rows[2] <= 6
 
 
+def catalog_solve(name, params, N):
+    """The arguments of solve for a catalog model at order N, as (pde, r0, s0, N)."""
+    ent = catalog.entry(name, **params)
+    return catalog.make_pde(ent, N), *catalog.default_point(ent), N
+
+
+def swept(name, params, N, policy="strict"):
+    """(layers the sweep of a catalog solve computes, the solution)."""
+    return count_line("rhs = {}", layer_sweep, *catalog_solve(name, params, N),
+                      via=lambda *args: solve(*args, resonance_policy=policy))
+
+
+@pytest.mark.parametrize("name, params, N, layers", [
+    ("legendre_II", {"lam": 0.7}, 40, 20),  # |m| = 2: the odd layers hold no coefficient
+    ("bessel_I", {"nu": 0}, 80, 40),
+    ("airy_I", {}, 80, 26),  # |m| = 3
+    ("airy_II", {}, 80, 26),
+    ("laguerre_I", {"lam": 1.3}, 80, 80),
+])
+def test_sweep_steps_by_the_gcd_of_the_degrees(name, params, N, layers):
+    count, sol = swept(name, params, N)
+    assert count == layers == N // math.gcd(*(m1 + m2 for m1, m2 in sol.coeffs))
+    assert not sol.terminates
+
+
+#: (model, parameters, last nonzero layer, largest |m|, layers swept) of polynomial solutions at N = 40
+TERMINATING = [
+    ("hermite_I", {"lam": 42}, 20, 2, 11),
+    ("hermite_I", {"lam": 50}, 24, 2, 13),
+    ("hermite_I", {"lam": 62}, 30, 2, 16),
+    ("laguerre_I", {"lam": 25}, 25, 1, 26),
+    ("chebyshev_I", {"p": 25}, 24, 2, 13),
+]
+
+
+@pytest.mark.parametrize("name, params, last, reach, layers", TERMINATING)
+def test_terminating_series(name, params, last, reach, layers):
+    # the sweep stops once the d layers past the last nonzero one are empty, d the largest |m|:
+    # the same table as the reference, the exact solution, so the radius is +inf and no point warns
+    count, sol = swept(name, params, 40)
+    assert count == layers and max(map(norm, sol.coeffs)) == last and sol.terminates
+    assert bits(sol) == assert_same(*catalog_solve(name, params, 40), "strict")[0]
+    assert solve(*catalog_solve(name, params, 80)).coeffs == sol.coeffs
+    # known at the first order that reaches the d empty layers
+    assert [solve(*catalog_solve(name, params, last + reach + k)).terminates for k in (-1, 0)] == [False, True]
+    assert radius_estimate(sol) == math.inf
+    assert math.isfinite(radius_estimate(dict(sol.coeffs), order=40))  # a plain table cannot know d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eval_solution(sol, 3, 0.5)
+
+
+#: the markers of the per-axis table lines of the sweep, the divide of solve and the residual
+TABLE_LINES = [("support = [(*m[:3]", layer_sweep), ("rs, ss = [r0 + q1", solve), ("r_of, s_of = [q1 + r0", apply_operator)]
+
+
+@pytest.mark.parametrize("name, params", CATALOG_MODELS)
+def test_per_axis_tables_only_on_planes(name, params):
+    # a support on a ray reaches each q1 and q2 once: no table is built, so none costs a ray model anything
+    pde, r0, s0, N = catalog_solve(name, params, 40)
+    policy = catalog.resonance_policy(catalog.entry(name, **params))
+    counts = [count_line(marker, fn, pde, r0, s0, N, via=lambda *args: residual_max(
+        pde, solve(*args, resonance_policy=policy)))[0] for marker, fn in TABLE_LINES]
+    assert counts == ([1, 1, 1] if name in ("hermite_II", "legendre_II", "chebyshev_II") else [0, 0, 0])
+
+
 # -- hypothesis-drawn PDEs -----------------------------------------------------
 
 small_int = st.integers(-3, 3)
@@ -129,11 +177,18 @@ monomial = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda m: 1 <=
 terms = st.dictionaries(monomial, value, max_size=4)
 
 
+def over(num, den):
+    """num / den as `to_series` keeps a fraction, unexpanded: `cleared` reads it."""
+    return num if den is None else object.__new__(CSeries2)._set(num.order, fraction=(num, den))
+
+
 @st.composite
 def sparse_pdes(draw):
-    """A PDE with sparse random a, b, c (off-axis monomials included) and
-    small integer conic data, so that lattice points often hit the conic
-    exactly, and a base point (r0, s0) on it."""
+    """A PDE with sparse random a, b, c (off-axis monomials included), each
+    over a drawn denominator 1 + ... or over none, so that the cleared
+    support has monomials with q_m != 0 too, and small integer conic data,
+    so that lattice points often hit the conic exactly, and a base point
+    (r0, s0) on it."""
     N = draw(st.integers(1, 14))
     A, B, C = draw(small_complex), draw(small_complex), draw(small_complex)
     a0, b0 = draw(small_int), draw(small_int)
@@ -143,13 +198,25 @@ def sparse_pdes(draw):
     for const in (a0, b0, c0):
         coeffs = draw(terms)
         coeffs[(0, 0)] = const
-        series.append(CSeries2(N, coeffs))
+        den = draw(st.one_of(st.none(), st.dictionaries(monomial, value, min_size=1, max_size=2)))
+        series.append(over(CSeries2(N, coeffs), den and CSeries2(N, {**den, (0, 0): 1})))
     policy = draw(st.sampled_from(["strict", "skip_removable", "skip_removable", "skip_removable"]))
     return RegularSingularPDE(A, B, C, *series), r0, s0, N, policy
 
 
+def text_pde(A, B, C, texts, N):
+    return RegularSingularPDE(A, B, C, *(to_series(parse_expr(t), {}, N) for t in texts))
+
+
 @settings(max_examples=300, deadline=None)
 @given(sparse_pdes())
+# a support that spans a plane, with q = 1 - x: the removable hit (1, 1) is reached
+@example((text_pde(1, 0, -1, ["1 + 0.1*x*y + 0.5*x", "-1 + 0.2*x*y", "-0.3*x*y/(1 - x)"], 8), 1, 1, 8,
+          "skip_removable"))
+@example((text_pde(1, 2, 1, ["1/(1 - x)", "1", "x/(1 - x)"], 12), 0, 0, 12, "strict"))  # the ray q = 1 - x
+@example((text_pde(1, 0, 1, ["1 + x*y", "1", "0.5*x*y/(1 - x*y)"], 12), 0, 0, 12, "strict"))  # the diagonal
+@example((text_pde(1, 0, 1, ["1", "1", "0"], 6), 0, 0, 6, "strict"))  # no support: the table is D_(0,0)
+@example((text_pde(1, 0, 1, ["1 + y^3", "1", "x^3 - x*y^2"], 12), 0, 0, 12, "strict"))  # every |m| = 3
 def test_random_sparse_pdes(case):
     assert_same(*case)
 

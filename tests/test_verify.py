@@ -16,7 +16,7 @@ from frobpde.expr_parser import parse_expr, to_series
 from frobpde.frobenius import FrobeniusSolution, RegularSingularPDE, prepare_coordinates, radius_estimate, solve
 from frobpde.multiseries import CSeries2, cauchy_mul
 from frobpde.verify import apply_operator, eval_solution, residual_max
-from helpers import CATALOG_MODELS
+from helpers import CATALOG_MODELS, count_line
 
 
 def make_pde(A, B, C, a, b, c, order=12):
@@ -78,6 +78,10 @@ LATTICE = table_case(["1 + x*y", "3*x - y^2 + 0.5*x*y", "1/(1 - x - y)^2"],
 # q = (1 - x*y)(1 - x) and q a = (2 + y)(1 - x) have several monomials each
 SEVERAL = table_case(["(2 + y)/(1 - x*y)", "1/(1 - x)", "0.5/(3 - x) - 0.25/(0.5 - x^2)"],
                      [(q1, n - q1) for n in range(9) for q1 in range(0, n + 1, 2)], r0=2j, s0=0.75)
+# cleared polynomials on the diagonal, with a table on it and with one that fills the lattice
+DIAGONAL_TEXTS = ["1/(1 - x*y)", "2 + x*y", "0.5*x^2*y^2 - 1"]
+DIAGONAL = table_case(DIAGONAL_TEXTS, [(k, k) for k in range(16)])
+DIAGONAL_LATTICE = table_case(DIAGONAL_TEXTS, [(q1, n - q1) for n in range(11) for q1 in range(n + 1)])
 
 
 class TestApplyOperator:
@@ -117,11 +121,19 @@ class TestApplyOperator:
     @example(RAY)
     @example(LATTICE)
     @example(SEVERAL)
+    @example(DIAGONAL)
+    @example(DIAGONAL_LATTICE)
     @settings(max_examples=150, deadline=None)
     def test_equals_the_docstring_formula(self, case):
         # value for value, not approximately: the summation order is pinned
         pde, r0, s0, S = case
         assert apply_operator(pde, r0, s0, S) == docstring_operator(pde, r0, s0, S).coeffs
+
+    @pytest.mark.parametrize("case, tabulated", [(RAY, 0), (LATTICE, 1), (SEVERAL, 1), (DIAGONAL, 0),
+                                                 (DIAGONAL_LATTICE, 1)])
+    def test_per_axis_tables_where_q1_repeats(self, case, tabulated):
+        # with more d_Q than values of q1 the factors of one axis are tabulated, whatever the support
+        assert count_line("r_of, s_of = [q1 + r0", apply_operator, *case)[0] == tabulated
 
 
 class TestResidualMax:
