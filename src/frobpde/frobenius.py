@@ -15,7 +15,7 @@ from functools import reduce
 
 from .errors import ResonantPoint, ZeroConstantTerm
 from .indicial import DEFAULT_TOL, IndicialConic, resonance_scan, unit_scale
-from .multiseries import CSeries2, _power, cauchy_mul, index_key, layer_sweep, norm, spans_plane
+from .multiseries import CSeries2, _power, cauchy_mul, index_key, layer_sweep, spans_plane
 
 
 class RegularSingularPDE(namedtuple("RegularSingularPDE", "A B C a b c")):
@@ -108,13 +108,12 @@ class FrobeniusSolution(CSeries2):
     __slots__ = ("r0", "s0", "resonance_certificate", "convergence", "terminates", "_radius")
 
     def __init__(self, r0, s0, order, coeffs, resonance_certificate, convergence, terminates=False):
-        self._set(order, coeffs)
-        object.__setattr__(self, "r0", r0)
-        object.__setattr__(self, "s0", s0)
-        object.__setattr__(self, "resonance_certificate", resonance_certificate)
-        object.__setattr__(self, "convergence", convergence)
-        object.__setattr__(self, "terminates", terminates)
-        object.__setattr__(self, "_radius", None)
+        self._set(order, coeffs, slots=dict(r0=r0, s0=s0, resonance_certificate=resonance_certificate,
+                                            convergence=convergence, terminates=terminates, _radius=None).items())
+
+    def items(self):
+        """Coefficients in the order of the table, canonical as the sweep writes it."""
+        return list(self.coeffs.items())
 
 
 def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
@@ -134,9 +133,10 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     The layers are swept in order over the lattice points reachable from
     the support: D_Q is computed only where some nonzero D_P and support
     monomial m give P + m = Q.  Everywhere else e_Q = 0 exactly, so D_Q = 0
-    (at a hit too), and the solution terminates when the d layers past its
-    last nonzero one are empty, d the largest |m|.  The first coefficient
-    that overflows to inf or nan is refused with ValueError.
+    (at a hit too), and the solution terminates when the sweep says so.  P
+    is `conic.evaluate`, from per-axis tables on a support that spans a
+    plane (`IndicialConic.divider`).  The first coefficient that
+    overflows to inf or nan is refused with ValueError.
 
     The engine is indifferent to the convergence conditions: it computes
     formal solutions even when no sufficient condition holds.
@@ -161,19 +161,8 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     polys = pde.cleared()
     monomials = sorted(set().union(*(f.coeffs for f in polys)) - {(0, 0)}, key=index_key)
     support = [(*m, *(f.get(m) for f in polys)) for m in monomials]  # (m1, m2, q_m, a_m, b_m, c_m)
-    cA, cB, cC, cD, cE, cF = conic
+    divide = conic.divider(r0, s0, N, spans_plane(monomials))
     scale = 1.0
-    if spans_plane(monomials):  # P(r, s) as conic.evaluate sums it, from the factors of one axis per value
-        rs, ss = [r0 + q1 for q1 in range(N + 1)], [s0 + q2 for q2 in range(N + 1)]
-        Ar, Br, Dr = [cA * r * r for r in rs], [cB * r for r in rs], [cD * r for r in rs]
-        Cs, Es = [cC * s * s for s in ss], [cE * s for s in ss]
-
-        def divide(q1, q2, e):
-            return -e / (Ar[q1] + Br[q1] * ss[q2] + Cs[q2] + Dr[q1] + Es[q2] + cF)
-    else:
-        def divide(q1, q2, e):
-            r, s = r0 + q1, s0 + q2  # P(r, s) as conic.evaluate sums it, without the call
-            return -e / (cA * r * r + cB * r * s + cC * s * s + cD * r + cE * s + cF)
 
     def divide_at_hits(q1, q2, e):
         nonlocal scale
@@ -191,10 +180,9 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
             scale = abs(d)
         return d
 
-    table = layer_sweep(support, r0, s0, N, 1.0 + 0j, divide_at_hits if hit_set else divide, (pde.A, pde.B, pde.C))
-    report = convergence_report(pde.A, pde.B, pde.C)
-    terminates = norm(next(reversed(table))) + (norm(monomials[-1]) if monomials else 0) <= N
-    return FrobeniusSolution(r0, s0, N, table, certificate, report, terminates)
+    table, terminates = layer_sweep(support, r0, s0, N, 1.0 + 0j, divide_at_hits if hit_set else divide,
+                                    (pde.A, pde.B, pde.C))
+    return FrobeniusSolution(r0, s0, N, table, certificate, convergence_report(pde.A, pde.B, pde.C), terminates)
 
 
 _RATIO_FIT_DEGREE = 2
@@ -339,5 +327,5 @@ def _prepare_one(series, axis):
         raise ZeroConstantTerm("leading coefficient vanishes at the origin")
     w = _power(series, -0.5, 1.0 + 0j)
     support = [(m1, 0, 0, 0, 0, -v) for (m1, _), v in w.items() if m1]
-    table = layer_sweep(support, 0, 0, series.order, 1.0 + 0j, lambda q1, q2, e: -e / q1)
+    table, _ = layer_sweep(support, 0, 0, series.order, 1.0 + 0j, lambda q1, q2, e: -e / q1)
     return object.__new__(CSeries2)._set(series.order, table)

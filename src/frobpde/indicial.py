@@ -25,14 +25,20 @@ class IndicialConic(namedtuple("IndicialConic", "cA cB cC cD cE cF")):
     __slots__ = ()
 
     def evaluate(self, r, s):
-        return (
-            self.cA * r * r
-            + self.cB * r * s
-            + self.cC * s * s
-            + self.cD * r
-            + self.cE * s
-            + self.cF
-        )
+        cA, cB, cC, cD, cE, cF = self
+        return cA * r * r + cB * r * s + cC * s * s + cD * r + cE * s + cF
+
+    def divider(self, r0, s0, N, tabulate):
+        """divide(q1, q2, e) = -e / P(r0 + q1, s0 + q2) for 0 <= q1, q2 <= N,
+        P summed as `evaluate` sums it; with tabulate, from the factors of one
+        axis formed once per value, for the many Q of a plane that share them."""
+        if not tabulate:
+            return lambda q1, q2, e: -e / self.evaluate(r0 + q1, s0 + q2)
+        cA, cB, cC, cD, cE, cF = self
+        rs, ss = [r0 + q1 for q1 in range(N + 1)], [s0 + q2 for q2 in range(N + 1)]
+        Ar, Br, Dr = [cA * r * r for r in rs], [cB * r for r in rs], [cD * r for r in rs]
+        Cs, Es = [cC * s * s for s in ss], [cE * s for s in ss]
+        return lambda q1, q2, e: -e / (Ar[q1] + Br[q1] * ss[q2] + Cs[q2] + Dr[q1] + Es[q2] + cF)
 
     def coefficients(self):
         return tuple(self)

@@ -52,12 +52,15 @@ class CSeries2:
                 table[(q1, q2)] = complex(v)
         self._set(order, checked_table(table.items()))
 
-    def _set(self, order, coeffs=None, fraction=None):
-        """Sets the slots to a table taken as it is, or to a fraction (num, den); returns self."""
+    def _set(self, order, coeffs=None, fraction=None, slots=()):
+        """Sets the slots to a table taken as it is, or to a fraction (num, den),
+        and the slots of a subclass from (name, value) pairs; returns self."""
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "fraction", fraction)
         if fraction is None:
             object.__setattr__(self, "coeffs", coeffs)
+        for name, value in slots:
+            object.__setattr__(self, name, value)
         return self
 
     def __setattr__(self, name, value):
@@ -150,11 +153,33 @@ class CSeries2:
     # -- evaluation and serialization --------------------------------------
 
     def evaluate(self, x, y):
-        """Partial-sum value at (x, y), summed in canonical order."""
+        """Partial-sum value at (x, y), summed in the order of `items`.  A term
+        whose powers leave the float range is formed by `_far_term`."""
         total = 0j
         for (q1, q2), v in self.items():
-            total += v * (x ** q1) * (y ** q2)
+            try:
+                total += v * (x ** q1) * (y ** q2)
+            except OverflowError:
+                total += _far_term(v, x, q1, y, q2)
         return total
+
+
+def _far_term(v, x, q1, y, q2):
+    """v x^q1 y^q2 from v, x and y scaled by powers of two to parts below 1
+    in magnitude, scaled back part by part: finite where the term is, and a
+    part beyond the float range is inf of its sign."""
+    z, e = 1.0, 0
+    for w, q in ((complex(v), 1), (complex(x), q1), (complex(y), q2)):
+        k = math.frexp(abs(w.real) + abs(w.imag))[1]
+        z *= complex(math.ldexp(w.real, -k), math.ldexp(w.imag, -k)) ** q
+        e += k * q
+    parts = []
+    for t in (z.real, z.imag):
+        try:
+            parts.append(math.ldexp(t, e))
+        except OverflowError:
+            parts.append(math.copysign(math.inf, t))
+    return complex(*parts)
 
 
 def cauchy_mul(f, g):
@@ -187,39 +212,42 @@ def spans_plane(monomials):
 
 
 def layer_sweep(support, r, s, order, d0, divide, symbol=None):
-    """Coefficient table {(q1, q2): D_Q} up to |Q| = order, in canonical
-    order, with D_(0,0) = d0 and D_Q = divide(q1, q2, e_Q) on every later
-    layer.
+    """(table, terminates): the coefficient table {(q1, q2): D_Q} up to
+    |Q| = order, in canonical order, with D_(0,0) = d0 and
+    D_Q = divide(q1, q2, e_Q) on every later layer, and whether every D_Q
+    past the table is 0.
 
     support lists (m1, m2, t_m, a_m, b_m, c_m) for the monomials m != (0, 0)
     in canonical order.  Each nonzero D_P below layer |Q| and monomial m
-    with P + m = Q add the weight t_m T(p', q') + p' a_m + q' b_m + c_m,
-    with p' = p1 + r and q' = p2 + s, times D_P to e_Q, so every e_Q sums
-    its terms in canonical monomial order, starting from +0j.
+    with P + m = Q add the weight w_m(P) = t_m T(p', q') + p' a_m + q' b_m
+    + c_m, with p' = p1 + r and q' = p2 + s, times D_P to e_Q, so every e_Q
+    sums its terms in canonical monomial order, starting from +0j.
     T(p', q') = A p'(p'-1) + B p'q' + C q'(q'-1) is the second-order symbol
     of symbol = (A, B, C); a monomial with t_m = 0 does not evaluate it.
-    On a support that spans a plane, p' a_m and q' b_m are tabulated per q1
-    and q2, which many Q share; on a ray each Q computes them.
+    On a support that spans a plane or has a symbol, p' a_m and q' b_m are
+    tabulated per q1 and q2; on a ray with no symbol each Q computes them.
 
     `divide` is called only at the Q that some nonzero prior reaches, in
     ascending q1 within each layer; everywhere else e_Q = 0, so D_Q = 0.
     Only layers on multiples of the gcd of the |m| are reached, and after d
     empty layers, d the largest |m|, every later e_Q is 0: the sweep stops.
-    Zero coefficients (d0 too) are not stored, and the first one that is inf
-    or nan is refused with ValueError, d0 after the sweep.
+    The series terminates when the table holds those d layers and every
+    weight that reached them is exactly 0, not a product or a quotient that
+    underflowed.  Zero coefficients (d0 too) are not stored, and the first
+    one that is inf or nan is refused with ValueError, d0 after the sweep.
     """
     sizes = [m[0] + m[1] for m in support] or [0]  # ascending
     step, reach = math.gcd(*sizes) or order + 1, sizes[-1]  # no support: no layer past 0
-    plane, symbolic = spans_plane(support), any(m[2] for m in support)
-    if plane or symbolic:
+    symbolic = any(m[2] for m in support)
+    tabulate = symbolic or spans_plane(support)
+    if tabulate:
         ps, qs = [i + r for i in range(order + 1)], [j + s for j in range(order + 1)]
+        support = [(*m[:3], [p * m[3] for p in ps], [q * m[4] for q in qs], m[5]) for m in support]
     if symbolic:  # the pieces of T for each q1 and q2, summed as in T
         A, B, C = symbol
         Ap = [A * p * (p - 1) for p in ps]
         Bp = [B * p for p in ps]
         Cq = [C * q * (q - 1) for q in qs]
-    if plane:
-        support = [(*m[:3], [p * m[3] for p in ps], [q * m[4] for q in qs], m[5]) for m in support]
     rows = [[(0, d0)]] + [[]] * order  # rows[n]: (q1, D_Q) of the nonzero D_Q of layer n, ascending q1
     last = 0
     for n in range(step, order + 1, step):
@@ -230,18 +258,13 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
             k = n - m1 - m2
             if k < 0:
                 break
-            if plane and tm:
+            if tm:
                 for i, d in rows[k]:
                     w = tm * (Ap[i] + Bp[i] * qs[k - i] + Cq[k - i]) + am[i] + bm[k - i] + cm
                     rhs[i + m1] = rhs.get(i + m1, 0j) + w * d
-            elif plane:
+            elif tabulate:
                 for i, d in rows[k]:
                     rhs[i + m1] = rhs.get(i + m1, 0j) + (am[i] + bm[k - i] + cm) * d
-            elif tm:
-                for i, d in rows[k]:
-                    p, q = ps[i], qs[k - i]
-                    w = tm * (Ap[i] + Bp[i] * q + Cq[k - i]) + p * am + q * bm + cm
-                    rhs[i + m1] = rhs.get(i + m1, 0j) + w * d
             else:
                 for i, d in rows[k]:
                     rhs[i + m1] = rhs.get(i + m1, 0j) + ((i + r) * am + (k - i + s) * bm + cm) * d
@@ -254,8 +277,18 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
                 row.append((q1, d))
         if row:
             last = n
+
+    terminates = last + reach <= order
+    for m1, m2, tm, am, bm, cm in support if terminates else ():  # every weight that reached the d layers
+        for k in range(max(0, last + 1 - m1 - m2), last + 1):
+            for i, _ in rows[k]:  # w_m at P = (i, k - i), formed as the loops above form it
+                if tm:
+                    w = tm * (Ap[i] + Bp[i] * qs[k - i] + Cq[k - i]) + am[i] + bm[k - i] + cm
+                else:
+                    w = am[i] + bm[k - i] + cm if tabulate else (i + r) * am + (k - i + s) * bm + cm
+                terminates = terminates and w == 0
     table = {(q1, n - q1): d for n, row in enumerate(rows) for q1, d in row}
-    return table if d0 and cmath.isfinite(d0) else checked_table(table.items())
+    return table if d0 and cmath.isfinite(d0) else checked_table(table.items()), terminates
 
 
 # -- series operations as Euler-type solves ----------------------------------
@@ -271,7 +304,7 @@ def _power(f, alpha, g0):
     J. C. P. Miller's formula for the powers of a series."""
     f0 = f.constant_term()
     support = [(m1, m2, 0, v, v, -alpha * (m1 + m2) * v) for (m1, m2), v in f.items() if m1 + m2]
-    table = layer_sweep(support, 0, 0, f.order, g0, lambda q1, q2, e: -e / (f0 * (q1 + q2)))
+    table, _ = layer_sweep(support, 0, 0, f.order, g0, lambda q1, q2, e: -e / (f0 * (q1 + q2)))
     return object.__new__(CSeries2)._set(f.order, table)
 
 
@@ -295,5 +328,5 @@ def exp_series(f):
     """exp of a series, to the same order.  Coefficient Q of
     theta(g) = theta(f) g reads |Q| g_Q = sum_{m != 0} |m| f_m g_{Q-m}."""
     support = [(m1, m2, 0, 0, 0, -(m1 + m2) * v) for (m1, m2), v in f.items() if m1 + m2]
-    table = layer_sweep(support, 0, 0, f.order, cmath.exp(f.constant_term()), lambda q1, q2, e: -e / (q1 + q2))
+    table, _ = layer_sweep(support, 0, 0, f.order, cmath.exp(f.constant_term()), lambda q1, q2, e: -e / (q1 + q2))
     return object.__new__(CSeries2)._set(f.order, table)

@@ -62,7 +62,7 @@ def apply_operator(pde, r0, s0, coeffs):
         raise ValueError("pde series order must be >= coefficient table order")
     A, B, C = complex(pde.A), complex(pde.B), complex(pde.C)
     W = M + 1  # Q is packed as q1 W + q2, one to one as q2 <= M
-    items = S.items()  # by ascending |Q|
+    items = CSeries2.items(S)  # by ascending |Q|, sorted here: the check does not trust the stored order
     keys = [q1 * W + q2 for (q1, q2), _ in items]
     norms = [q1 + q2 for (q1, q2), _ in items]
     if len(items) > W:  # some d_Q share q1 (and q2): the factors of one axis, once per value

@@ -50,25 +50,31 @@ def max_abs_diff(f, g):
 # reproduce them bit for bit.
 
 
-def reference_rhs(pde, cleared, r, s, Q, prior):
-    """e_Q of the cleared PDE `cleared` = (q, q a, q b, q c), summed over its
-    support in canonical order; every D_P it touches must be in `prior`."""
-    q1, q2 = Q
+def reference_support(cleared):
+    """The monomials m != (0, 0) of the cleared PDE, in canonical order."""
+    return sorted(set().union(*(f.coeffs for f in cleared)) - {(0, 0)}, key=index_key)
+
+
+def reference_weight(pde, cleared, r, s, m, P):
+    """w_m(P), the factor of D_P in e_(P+m), of the cleared PDE `cleared` = (q, q a, q b, q c)."""
     cq, ca, cb, cc = cleared
-    support = set(cq.coeffs) | set(ca.coeffs) | set(cb.coeffs) | set(cc.coeffs)
-    support.discard((0, 0))
     A, B, C = pde.A, pde.B, pde.C
+    i, j = P
+    if cq.get(m):
+        p, q = i + r, j + s
+        return cq.get(m) * (A * p * (p - 1) + B * p * q + C * q * (q - 1)) + p * ca.get(m) + q * cb.get(m) + cc.get(m)
+    return (i + r) * ca.get(m) + (j + s) * cb.get(m) + cc.get(m)
+
+
+def reference_rhs(pde, cleared, r, s, Q, prior):
+    """e_Q of the cleared PDE, summed over its support in canonical order;
+    every D_P it touches must be in `prior`."""
+    q1, q2 = Q
     e = 0j
-    for m in sorted(support, key=index_key):
-        if m[0] > q1 or m[1] > q2:
-            continue
-        i, j = q1 - m[0], q2 - m[1]
-        if cq.get(m):
-            p, q = i + r, j + s
-            weight = cq.get(m) * (A * p * (p - 1) + B * p * q + C * q * (q - 1)) + p * ca.get(m) + q * cb.get(m) + cc.get(m)
-        else:
-            weight = (i + r) * ca.get(m) + (j + s) * cb.get(m) + cc.get(m)
-        e += weight * prior[(i, j)]
+    for m in reference_support(cleared):
+        if m[0] <= q1 and m[1] <= q2:
+            P = (q1 - m[0], q2 - m[1])
+            e += reference_weight(pde, cleared, r, s, m, P) * prior[P]
     return e
 
 
@@ -128,7 +134,13 @@ def reference_solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
                 scale = abs(d)
     report = convergence_report(pde.A, pde.B, pde.C)
     # a solution takes its table as it is: drop the zeros (the 0j at hits too) as the sweep does
-    return FrobeniusSolution(r0, s0, N, CSeries2(N, table).coeffs, certificate, report)
+    coeffs = CSeries2(N, table).coeffs
+    # it terminates when the table holds the d layers past its last nonzero one, d the largest
+    # |m|, and every weight from a nonzero D_P into them is exactly 0
+    support, last = reference_support(cleared), max(map(norm, coeffs))
+    terminates = last + max(map(norm, support), default=0) <= N and not any(
+        reference_weight(pde, cleared, r0, s0, m, P) for P in coeffs for m in support if norm(P) + norm(m) > last)
+    return FrobeniusSolution(r0, s0, N, coeffs, certificate, report, terminates)
 
 
 def count_line(marker, fn, *args, via=None):

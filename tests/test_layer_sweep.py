@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobpde import catalog
-from frobpde.errors import BasePointNotOnConic, ResonantPoint
+from frobpde.errors import BasePointNotOnConic, OutsideEstimatedDomain, ResonantPoint
 from frobpde.expr_parser import parse_expr, to_series
 from frobpde.frobenius import RegularSingularPDE, radius_estimate, solve
 from frobpde.indicial import IndicialConic, resonance_scan
@@ -37,9 +37,19 @@ def outcome(fn, pde, r0, s0, N, policy):
         assert str(exc).startswith("non-finite coefficient")
         return "non-finite"
     assert all(v != 0 and cmath.isfinite(v) for v in sol.coeffs.values())
-    assert list(sol.coeffs) == sorted(sol.coeffs, key=index_key)
+    assert_read_order(sol)
     assert max(map(norm, sol.coeffs)) <= N
-    return bits(sol), scan_bits(sol.resonance_certificate), sol.order
+    return bits(sol), scan_bits(sol.resonance_certificate), sol.order, sol.terminates
+
+
+def assert_read_order(sol):
+    """A solution is read in the order it is stored, which is the canonical one:
+    its items are those the base class sorts, and its value has their bits."""
+    assert list(sol.coeffs) == sorted(sol.coeffs, key=index_key)
+    assert sol.items() == CSeries2.items(sol)
+    for x, y in ((0.3, 0.7), (1.5, -0.5 + 2j)):
+        got, want = sol.evaluate(x, y), CSeries2(sol.order, sol.coeffs).evaluate(x, y)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def assert_same(pde, r0, s0, N, policy):
@@ -150,18 +160,60 @@ def test_terminating_series(name, params, last, reach, layers):
         eval_solution(sol, 3, 0.5)
 
 
-#: the markers of the per-axis table lines of the sweep, the divide of solve and the residual
-TABLE_LINES = [("support = [(*m[:3]", layer_sweep), ("rs, ss = [r0 + q1", solve), ("r_of, s_of = [q1 + r0", apply_operator)]
+#: the markers of the per-axis table lines of the sweep, of P for the divide of solve, and of the residual
+TABLE_LINES = [("support = [(*m[:3]", layer_sweep), ("rs, ss = [r0 + q1", IndicialConic.divider),
+               ("r_of, s_of = [q1 + r0", apply_operator)]
+#: catalog models whose cleared support spans a plane, and rays with a symbol (a denominator q != 1)
+PLANES, SYMBOLIC_RAYS = ("hermite_II", "legendre_II", "chebyshev_II"), ("legendre_I", "chebyshev_I")
+
+
+def counted_verification(marker, fn, name, params, N=40):
+    """Executions of the line of fn that holds marker in a solve and residual of a catalog model."""
+    pde, r0, s0, N = catalog_solve(name, params, N)
+    policy = catalog.resonance_policy(catalog.entry(name, **params))
+    return count_line(marker, fn, pde, r0, s0, N, via=lambda *args: residual_max(
+        pde, solve(*args, resonance_policy=policy)))[0]
 
 
 @pytest.mark.parametrize("name, params", CATALOG_MODELS)
 def test_per_axis_tables_only_on_planes(name, params):
-    # a support on a ray reaches each q1 and q2 once: no table is built, so none costs a ray model anything
-    pde, r0, s0, N = catalog_solve(name, params, 40)
-    policy = catalog.resonance_policy(catalog.entry(name, **params))
-    counts = [count_line(marker, fn, pde, r0, s0, N, via=lambda *args: residual_max(
-        pde, solve(*args, resonance_policy=policy)))[0] for marker, fn in TABLE_LINES]
-    assert counts == ([1, 1, 1] if name in ("hermite_II", "legendre_II", "chebyshev_II") else [0, 0, 0])
+    # a support on a ray reaches each q1 and q2 once: the divide and the residual build no table
+    # there, and the sweep builds one only for a symbol, whose pieces it tabulates anyway
+    counts = [counted_verification(marker, fn, name, params) for marker, fn in TABLE_LINES]
+    assert counts == ([1, 1, 1] if name in PLANES else [1, 0, 0] if name in SYMBOLIC_RAYS else [0, 0, 0])
+
+
+@pytest.mark.parametrize("name, params", CATALOG_MODELS)
+def test_per_coefficient_loop_only_on_rays_without_symbol(name, params):
+    # the sweep has three loops: a symbol, a table without one, and each Q on its own
+    count = counted_verification("+ ((i + r) * am", layer_sweep, name, params)
+    assert (count > 0) == (name not in PLANES + SYMBOLIC_RAYS)
+
+
+def underflowing_pde(eps, N):
+    """A, B, C = 1, 2, 1 with a = b = -2 eps x^2 / (1 - eps x^2) and c = 2.99 eps x^2 / (1 - eps x^2):
+    at (1/2, 1/2) the coefficients fall below the float range, while the radius is 1 / sqrt(eps)."""
+    return text_pde(1, 2, 1, [f"-2*{eps}*x^2/(1 - {eps}*x^2)"] * 2 + [f"2.99*{eps}*x^2/(1 - {eps}*x^2)"], N)
+
+
+@pytest.mark.parametrize("eps, N, radius", [("1e-20", 34, 1.04264e10), ("1e-20", 40, 1.04071e10),
+                                            ("1e-40", 20, 1.08265e20)])
+def test_underflow_is_not_termination(eps, N, radius):
+    # the sweep stops after layers emptied by underflow, with the same table as the reference;
+    # the weights that reached them are not 0, so the series does not terminate and the radius
+    # is the plain table's estimate
+    sol = solve(underflowing_pde(eps, N), 0.5, 0.5, N)
+    assert bits(sol) == assert_same(underflowing_pde(eps, N), 0.5, 0.5, N, "strict")[0]
+    assert max(map(norm, sol.coeffs)) < N and not sol.terminates
+    assert radius_estimate(sol) == radius_estimate(dict(sol.coeffs), order=N) == pytest.approx(radius, rel=1e-5)
+
+
+@pytest.mark.parametrize("N, x, y", [(34, 1.2e10, 1), (40, 2e10, 0.5)])
+def test_evaluation_beyond_the_float_range_of_the_powers(N, x, y):
+    # x^q1 overflows on the top layers of the eps = 1e-20 series, whose terms are finite
+    sol = solve(underflowing_pde("1e-20", N), 0.5, 0.5, N)
+    with pytest.warns(OutsideEstimatedDomain):
+        assert cmath.isfinite(eval_solution(sol, x, y))
 
 
 # -- hypothesis-drawn PDEs -----------------------------------------------------
@@ -217,6 +269,8 @@ def text_pde(A, B, C, texts, N):
 @example((text_pde(1, 0, 1, ["1 + x*y", "1", "0.5*x*y/(1 - x*y)"], 12), 0, 0, 12, "strict"))  # the diagonal
 @example((text_pde(1, 0, 1, ["1", "1", "0"], 6), 0, 0, 6, "strict"))  # no support: the table is D_(0,0)
 @example((text_pde(1, 0, 1, ["1 + y^3", "1", "x^3 - x*y^2"], 12), 0, 0, 12, "strict"))  # every |m| = 3
+# D_(n,0) = (-1e-100)^n / n!^2 underflows to 0 past layer 3: the sweep stops, yet the series does not terminate
+@example((text_pde(1, 2, 1, ["1", "1", "1e-100*x"], 10), 0, 0, 10, "strict"))
 def test_random_sparse_pdes(case):
     assert_same(*case)
 

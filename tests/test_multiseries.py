@@ -127,6 +127,18 @@ class TestCSeries2:
         f = series(3, {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 3.0, (1, 1): 4.0})
         assert f.evaluate(0.5, 0.25) == pytest.approx(1 + 1.0 + 0.75 + 0.5)
 
+    @pytest.mark.parametrize("Q, x, y, want", [((40, 0), 1e10, 1.0, 1e100), ((40, 0), 1e10j, -1, 1e100),
+                                               ((20, 20), 1e20, 1e-20, 1e-300), ((20, 20), 1e16, 1e-1, 1.0)])
+    def test_evaluate_where_the_powers_overflow(self, Q, x, y, want):
+        # x^q1 is beyond the float range, the term 1e-300 x^q1 y^q2 is not
+        assert series(40, {Q: 1e-300}).evaluate(x, y) == pytest.approx(want, rel=1e-14)
+
+    def test_evaluate_term_beyond_the_float_range(self):
+        # a term beyond the float range is inf of its sign; the terms before it keep their bits
+        f = series(40, {(0, 0): 2.0, (1, 2): 0.1, (40, 0): -1e-3, (0, 40): 1e-3j})
+        assert f.evaluate(1e10, 0.5) == complex(-math.inf, 1e-3 * 0.5 ** 40)
+        assert f.evaluate(0.5, 1e10) == complex(2.0 + 0.1 * 0.5 * 1e20 + -1e-3 * 0.5 ** 40, math.inf)
+
     def test_json_round_trip(self):
         f = series(4, {(0, 0): 1.0, (2, 1): 1 + 2j})
         data = _rows(f)

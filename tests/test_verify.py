@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frobpde import catalog, multiseries
+from frobpde import catalog, cli, multiseries
 from frobpde.cli import _dump
 from frobpde.errors import OutsideEstimatedDomain
 from frobpde.expr_parser import parse_expr, to_series
@@ -164,6 +164,19 @@ class TestResidualMax:
         bad = FrobeniusSolution(sol.r0, sol.s0, N, coeffs, sol.resonance_certificate, sol.convergence)
         assert residual_max(pde, bad).max_residual > 1e-6
 
+    @pytest.mark.parametrize("name, params", CATALOG_MODELS)
+    def test_stored_order_not_trusted(self, name, params):
+        # the residual sorts its input itself: a solution stored out of order gives the same table
+        ent = catalog.entry(name, **params)
+        sol = catalog.solve_entry(ent, N=20)
+        pde = catalog.make_pde(ent, 20)
+        shuffled = FrobeniusSolution(sol.r0, sol.s0, 20, dict(reversed(sol.coeffs.items())),
+                                     sol.resonance_certificate, sol.convergence)
+        assert list(shuffled.coeffs) != list(sol.coeffs) or len(sol.coeffs) == 1
+        got, want = apply_operator(pde, sol.r0, sol.s0, shuffled), apply_operator(pde, sol.r0, sol.s0, sol)
+        assert [(Q, v.real.hex(), v.imag.hex()) for Q, v in got.items()] == [
+            (Q, v.real.hex(), v.imag.hex()) for Q, v in want.items()]
+
 
 class TestEvalSolution:
     def test_matches_direct_sum(self):
@@ -276,6 +289,22 @@ class TestWorkDoneOnce:
         assert counted(getattr, pde.a, "coeffs") is a and len(calls) == 2
         triples = [(Q, v.real.hex(), v.imag.hex()) for f in pde[3:] for Q, v in f.coeffs.items()]
         assert hashlib.sha256(repr(triples).encode()).hexdigest() == self.TABLES[name]
+
+    def test_items_packed_once(self, capsys):
+        # the residual sorts the table for itself; the evaluation and the CLI read it as stored
+        packing = "W = self.order + 1"
+        ent = catalog.entry("legendre_II", lam=0.7)
+        pde = catalog.make_pde(ent, 40)
+
+        def verified(pde, r0, s0, N):
+            sol = solve(pde, r0, s0, N)
+            residual_max(pde, sol)
+            radius_estimate(sol)
+            return eval_solution(sol, 0.1, 0.1)
+        assert count_line(packing, CSeries2.items, pde, *catalog.default_point(ent), 40, via=verified)[0] == 1
+        path = Path(__file__).parent / "golden" / "problems" / "legendre_II_40.json"
+        count, code = count_line(packing, CSeries2.items, ["solve", str(path)], via=cli.main)
+        assert (count, code) == (0, 0) and len(json.loads(capsys.readouterr().out)["coeffs"]) > 200
 
     def test_prepare_coordinates(self):
         # each axis is a power and a sweep, whose tables the sweeps checked: no constructor runs
