@@ -180,8 +180,7 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
             scale = abs(d)
         return d
 
-    table, terminates = layer_sweep(support, r0, s0, N, 1.0 + 0j, divide_at_hits if hit_set else divide,
-                                    (pde.A, pde.B, pde.C))
+    table, terminates = layer_sweep(support, r0, s0, N, 1.0 + 0j, divide_at_hits if hit_set else divide, conic)
     return FrobeniusSolution(r0, s0, N, table, certificate, convergence_report(pde.A, pde.B, pde.C), terminates)
 
 
@@ -218,6 +217,12 @@ def radius_estimate(sol, order=None):
     when it overflows.  Accepts a CSeries2 (a FrobeniusSolution is one) or a
     plain {(q1, q2): coefficient} table, truncated at `order` (default: its
     highest layer, the estimate that a FrobeniusSolution keeps).
+
+    A FrobeniusSolution that does not terminate, yet whose top-half layers
+    all vanish, holds coefficients that underflowed to 0: its estimate is
+    that of the table cut at its last nonzero layer, when that layer is at
+    least 10, and +inf below.  It reads only the layers that did not
+    underflow, so it is as good as a solve to that order.
     """
     if isinstance(sol, FrobeniusSolution) and order is None:
         if sol._radius is None:  # with an order given, this call skips the cache
@@ -230,8 +235,11 @@ def radius_estimate(sol, order=None):
     N = sol.order
     if N < 10:
         raise ValueError("radius_estimate needs order N >= 10")
-    if isinstance(sol, FrobeniusSolution) and sol.terminates or not any(sums[n] > 0.0 for n in range(N // 2, N + 1)):
+    if isinstance(sol, FrobeniusSolution) and sol.terminates:
         return math.inf
+    if not any(sums[n] > 0.0 for n in range(N // 2, N + 1)):
+        last = max((n for n, d in enumerate(sums) if d), default=0)
+        return radius_estimate(sol.coeffs, last) if isinstance(sol, FrobeniusSolution) and last >= 10 else math.inf
     rate = _ratio_rate(sums, N)
     if rate is None:
         rate = _log_linear_rate(sums, N)

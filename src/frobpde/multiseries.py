@@ -153,10 +153,23 @@ class CSeries2:
     # -- evaluation and serialization --------------------------------------
 
     def evaluate(self, x, y):
-        """Partial-sum value at (x, y), summed in the order of `items`.  A term
-        whose powers leave the float range is formed by `_far_term`."""
+        """Partial-sum value at (x, y), summed in the order of `items`.  With
+        more terms than values of q1, which a ray never has, x**q1 and y**q2
+        are formed once per value, unless one leaves the float range; then,
+        as on a ray, a term whose powers leave it is formed by `_far_term`."""
+        items, W = self.items(), self.order + 1
+        if len(items) > W:
+            try:
+                xs, ys = [x ** k for k in range(W)], [y ** k for k in range(W)]
+            except OverflowError:
+                pass
+            else:
+                total = 0j
+                for (q1, q2), v in items:
+                    total += v * xs[q1] * ys[q2]
+                return total
         total = 0j
-        for (q1, q2), v in self.items():
+        for (q1, q2), v in items:
             try:
                 total += v * (x ** q1) * (y ** q2)
             except OverflowError:
@@ -222,10 +235,21 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
     with P + m = Q add the weight w_m(P) = t_m T(p', q') + p' a_m + q' b_m
     + c_m, with p' = p1 + r and q' = p2 + s, times D_P to e_Q, so every e_Q
     sums its terms in canonical monomial order, starting from +0j.
-    T(p', q') = A p'(p'-1) + B p'q' + C q'(q'-1) is the second-order symbol
-    of symbol = (A, B, C); a monomial with t_m = 0 does not evaluate it.
+    symbol is the indicial conic (A, B, C, D, E, F) of an equation whose
+    divide is -e_Q / P, as `solve` passes it, and
+    T(p', q') = A p'(p'-1) + B p'q' + C q'(q'-1) its second-order symbol;
+    a monomial with t_m = 0 does not evaluate it.
     On a support that spans a plane or has a symbol, p' a_m and q' b_m are
     tabulated per q1 and q2; on a ray with no symbol each Q computes them.
+
+    On a plane with a symbol, when r, s, d0, the conic and the support have
+    zero imaginary parts, e_Q is summed in floats with the same bits: the
+    real part of each complex product is the float product up to the sign
+    of a zero, and its imaginary part is a zero; each sum starts from +0.0,
+    so it is never -0.0, and the complex e_Q is (float e_Q, +0.0).  divide
+    receives that complex(e_Q), and P is real, so D_Q has a zero imaginary
+    part: the table keeps the complex quotient, and the sums read its real
+    part.  A ray stays complex.
 
     `divide` is called only at the Q that some nonzero prior reaches, in
     ascending q1 within each layer; everywhere else e_Q = 0, so D_Q = 0.
@@ -238,13 +262,19 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
     """
     sizes = [m[0] + m[1] for m in support] or [0]  # ascending
     step, reach = math.gcd(*sizes) or order + 1, sizes[-1]  # no support: no layer past 0
-    symbolic = any(m[2] for m in support)
-    tabulate = symbolic or spans_plane(support)
+    symbolic, plane = any(m[2] for m in support), spans_plane(support)
+    table, zero = {(0, 0): d0}, 0j
+    floats = symbol is not None and plane and [(m1, m2, t.real, a.real, b.real, c.real)
+                                               for m1, m2, t, a, b, c in support]
+    real = floats == support and not any(z.imag for z in (r, s, d0, *symbol))  # then the sums run in floats
+    if real:
+        r, s, d0, symbol, support, zero = r.real, s.real, d0.real, [z.real for z in symbol[:3]], floats, 0.0
+    tabulate = symbolic or plane
     if tabulate:
         ps, qs = [i + r for i in range(order + 1)], [j + s for j in range(order + 1)]
         support = [(*m[:3], [p * m[3] for p in ps], [q * m[4] for q in qs], m[5]) for m in support]
     if symbolic:  # the pieces of T for each q1 and q2, summed as in T
-        A, B, C = symbol
+        A, B, C = symbol[:3]
         Ap = [A * p * (p - 1) for p in ps]
         Bp = [B * p for p in ps]
         Cq = [C * q * (q - 1) for q in qs]
@@ -261,20 +291,21 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
             if tm:
                 for i, d in rows[k]:
                     w = tm * (Ap[i] + Bp[i] * qs[k - i] + Cq[k - i]) + am[i] + bm[k - i] + cm
-                    rhs[i + m1] = rhs.get(i + m1, 0j) + w * d
+                    rhs[i + m1] = rhs.get(i + m1, zero) + w * d
             elif tabulate:
                 for i, d in rows[k]:
-                    rhs[i + m1] = rhs.get(i + m1, 0j) + (am[i] + bm[k - i] + cm) * d
+                    rhs[i + m1] = rhs.get(i + m1, zero) + (am[i] + bm[k - i] + cm) * d
             else:
                 for i, d in rows[k]:
                     rhs[i + m1] = rhs.get(i + m1, 0j) + ((i + r) * am + (k - i + s) * bm + cm) * d
         row = rows[n] = []
         for q1 in sorted(rhs):
-            d = divide(q1, n - q1, rhs[q1])
+            d = divide(q1, n - q1, rhs[q1] + 0j if real else rhs[q1])  # e + 0j = complex(e), as e != -0.0
             if d:
                 if not cmath.isfinite(d):
                     raise ValueError(f"non-finite coefficient D_({q1},{n - q1}) (layer {n}): {d!r}")
-                row.append((q1, d))
+                table[(q1, n - q1)] = d
+                row.append((q1, d.real if real else d))
         if row:
             last = n
 
@@ -287,7 +318,6 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
                 else:
                     w = am[i] + bm[k - i] + cm if tabulate else (i + r) * am + (k - i + s) * bm + cm
                 terminates = terminates and w == 0
-    table = {(q1, n - q1): d for n, row in enumerate(rows) for q1, d in row}
     return table if d0 and cmath.isfinite(d0) else checked_table(table.items()), terminates
 
 

@@ -7,17 +7,18 @@ shares no layer sweep and no precomputed P with `frobenius.solve`.
 q, the common denominator of a, b and c, is a unit: q L[z] vanishes through
 layer N exactly when L[z] does.
 
-The four products are summed on integer keys q1 (M + 1) + q2, M the order of
-the table, over columns of the weighted d_Q sorted by layer, in the order of
-four `cauchy_mul` calls added with `+`, and equal to their sum bit for bit.
+The four products are summed on integer keys |Q| (M + 1) + q1, M the order
+of the table, over columns of the weighted d_Q sorted by layer, in the order
+of four `cauchy_mul` calls added with `+`, and equal to their sum bit for bit.
 """
 
 import cmath
 import math
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import namedtuple
-from itertools import repeat
+from itertools import chain
+from operator import add, gt
 
 from .errors import OutsideEstimatedDomain
 from .frobenius import radius_estimate
@@ -41,31 +42,51 @@ def apply_operator(pde, r0, s0, coeffs):
     turn, q T2 first.  A product whose f has one monomial has a one-term sum
     0j + z, which adds to the output o as o + (0j + z).  That equals o + z
     bit for bit: 0j + z differs from z only in a part that is -0.0, and no
-    part of o is -0.0 (o starts as 0j plus a term, and a sum of floats is
-    -0.0 only when both are).  So such an f adds straight into the output,
-    and so does the first f, as the empty output takes 0j + v = v for a sum
-    v from 0j.  Any other f sums into a table of its own first.
+    part of o is -0.0 (o starts as 0j, and a sum of floats is -0.0 only when
+    both are).  So such an f adds straight into the output, and so does the
+    first f, as the empty output takes 0j + v = v for a sum v from 0j.  Any
+    other f sums into slots of its own first; adding 0j to a slot it did not
+    reach leaves the slot as it is.
 
-    The d_Q are sorted once, by layer, into columns: the packed keys, |Q|,
-    and T2, Sx, Sy, S; with more d_Q than values of q1, which a ray never
-    has, their factors that depend on one axis are tabulated per value.  For
-    a monomial m the d_Q with |Q| > M - |m| fall off the table, so its pass
-    runs over the columns cut with bisect at that room.  The output keeps
-    the table rule of a series (`checked_table`): zero outputs are not
-    stored and a non-finite one is refused with ValueError.
+    Q is packed as |Q| W + q1, W = M + 1.  The d_Q are read in stored order,
+    which one pass checks to be ascending in these keys; only a table that
+    is not is sorted.  Their weights form columns: T2, Sx, Sy and S.  With
+    more d_Q than values of q1, which a ray never has, the factors that
+    depend on one axis are tabulated per value, and the sums go to a list
+    of W^2 slots; otherwise to a dict.  For a monomial m the d_Q with
+    |Q| > M - |m| fall off the table, so its pass runs over the columns cut
+    with bisect at that room; it adds at most one term to each key, so the
+    order inside a layer does not change a value.  The output keeps the
+    table rule of a series (`checked_table`): zero outputs are not stored
+    and a non-finite one is refused with ValueError.
     """
-    r0 = complex(r0)
-    s0 = complex(s0)
+    W, out = _operator_sums(pde, r0, s0, coeffs, False)
+    pairs = out.items() if isinstance(out, dict) else [(k, v) for k, v in enumerate(out) if v]
+    return checked_table(((k % W, k // W - k % W), v) for k, v in pairs)
+
+
+def _operator_sums(pde, r0, s0, coeffs, floats):
+    """(W, out): the sums of `apply_operator` on the keys |Q| W + q1, W = M + 1,
+    in a list of W^2 slots (0 where nothing is added) when the d_Q outnumber
+    the values of q1, else in a dict.  With floats, a list holds the real
+    parts as floats when the data are real (`residual_max`)."""
+    r0, s0 = complex(r0), complex(s0)
     S = coeffs if isinstance(coeffs, CSeries2) else CSeries2(max(map(norm, coeffs), default=0), coeffs)
     M = S.order
     if pde.order < M:
         raise ValueError("pde series order must be >= coefficient table order")
     A, B, C = complex(pde.A), complex(pde.B), complex(pde.C)
-    W = M + 1  # Q is packed as q1 W + q2, one to one as q2 <= M
-    items = CSeries2.items(S)  # by ascending |Q|, sorted here: the check does not trust the stored order
-    keys = [q1 * W + q2 for (q1, q2), _ in items]
-    norms = [q1 + q2 for (q1, q2), _ in items]
-    if len(items) > W:  # some d_Q share q1 (and q2): the factors of one axis, once per value
+    W = M + 1  # one to one as q1 <= M; a monomial m shifts a key by |m| W + m1
+    keys, items = [(q1 + q2) * W + q1 for q1, q2 in S.coeffs], list(S.coeffs.items())
+    if any(map(gt, keys, keys[1:])):  # sorted here only if need be: the check does not trust the stored order
+        keys, items = zip(*sorted(zip(keys, items)))
+    plane, polys, zero = len(items) > W, [f.coeffs for f in pde.cleared()], 0j  # plane: some d_Q share q1
+    if floats and plane and not any(z.imag for z in chain((A, B, C, r0, s0), *map(dict.values, polys),
+                                                          S.coeffs.values())):
+        A, B, C, r0, s0, zero = A.real, B.real, C.real, r0.real, s0.real, 0.0
+        items = [(Q, d.real) for Q, d in items]
+        polys = [{m: v.real for m, v in f.items()} for f in polys]
+    if plane:  # the factors that depend on one axis, once per value
         r_of, s_of = [q1 + r0 for q1 in range(W)], [q2 + s0 for q2 in range(W)]
         Ar, Br = [A * rr * (rr - 1) for rr in r_of], [B * rr for rr in r_of]
         Cs = [C * ss * (ss - 1) for ss in s_of]
@@ -79,20 +100,26 @@ def apply_operator(pde, r0, s0, coeffs):
             Sx.append(rr * d)
             Sy.append(ss * d)
     columns = (T2, Sx, Sy, [d for _, d in items])
-    out = {}
-    for f, column in zip(pde.cleared(), columns):
-        # a one-monomial f, and the first f, add straight into out (see the docstring)
-        acc = out if len(f.coeffs) == 1 or not out else {}
-        get = acc.get
-        for (m1, m2), fv in f.coeffs.items():
-            shift, cut = m1 * W + m2, bisect_right(norms, M - m1 - m2)
+    out = [zero] * (W * W) if plane else {}
+    for k, (f, column) in enumerate(zip(polys, columns)):
+        # the first f, and a one-monomial f, add straight into out (see apply_operator)
+        acc = out if k == 0 or len(f) == 1 else [zero] * len(out) if plane else {}
+        for (m1, m2), fv in f.items():
+            shift, cut = (m1 + m2) * W + m1, bisect_left(keys, (W - m1 - m2) * W)
+            if plane:
+                for key, t in zip(keys[:cut], column[:cut]):
+                    acc[key + shift] += fv * t
+                continue
+            get = acc.get
             for key, t in zip(keys[:cut], column[:cut]):
                 key += shift
                 acc[key] = get(key, 0j) + fv * t
-        if acc is not out:
+        if acc is not out and plane:
+            out[:] = map(add, out, acc)
+        elif acc is not out:
             for key, v in acc.items():
                 out[key] = out.get(key, 0j) + v
-    return checked_table(zip(map(divmod, out, repeat(W)), out.values()))
+    return W, out
 
 
 class ResidualReport(namedtuple("ResidualReport", "max_residual per_layer checked_up_to")):
@@ -107,14 +134,32 @@ def residual_max(pde, solution):
     q, a, b and c have no negative exponents, so layer n of q L[z] involves
     only the D_Q with |Q| <= n: no layer up to the truncation order gets a
     contribution from beyond it, and none is skipped.
+
+    The sums are those of `apply_operator`, and a non-finite one is refused
+    with its ValueError.  On a list of slots each layer's maximum is read
+    off its slice.  There, when A, B, C, r0, s0, every coefficient of the
+    cleared polynomials and every d_Q have zero imaginary part, the sums run
+    in floats with the same bits: the real part of each complex product is
+    the float product up to the sign of a zero, and its imaginary part is
+    a zero; every sum starts from +0.0, so it is never -0.0, and the complex
+    sum is (float sum, +0.0), whose |.| is that of the float sum.
     """
-    out = apply_operator(pde, solution.r0, solution.s0, solution)
-    per_layer = {n: 0.0 for n in range(solution.order + 1)}
-    for (q1, q2), v in out.items():
-        n, a = q1 + q2, abs(v)
-        if a > per_layer[n]:  # max(per_layer[n], a) without the call
-            per_layer[n] = a
-    return ResidualReport(max(per_layer.values()), per_layer, solution.order)
+    W, out = _operator_sums(pde, solution.r0, solution.s0, solution, True)
+    if isinstance(out, dict):
+        per_layer = [0.0] * W
+        for key, v in checked_table(out.items()).items():
+            n, a = key // W, abs(v)
+            if a > per_layer[n]:  # max(per_layer[n], a) without the call
+                per_layer[n] = a
+    else:
+        per_layer, total = [], 0.0
+        for n in range(W):
+            mags = list(map(abs, out[n * W:n * W + n + 1]))
+            per_layer.append(max(mags))
+            total += sum(mags)
+        if not math.isfinite(total):  # refused as apply_operator refuses it, unless only the total overflowed
+            apply_operator(pde, solution.r0, solution.s0, solution)
+    return ResidualReport(max(per_layer), dict(enumerate(per_layer)), solution.order)
 
 
 def eval_solution(solution, x, y):

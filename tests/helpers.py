@@ -30,6 +30,13 @@ CATALOG_MODELS = [
     ("laguerre_II", {"lam": 1.3}),
     ("disturbed_heat", {"a": 1}),
 ]
+#: catalog models at complex parameters: the three planes and a ray
+COMPLEX_MODELS = [
+    ("hermite_II", {"lam": 1.3 + 0.5j}),
+    ("legendre_II", {"lam": 0.7 - 0.2j}),
+    ("chebyshev_II", {"p": 0.7 + 0.1j}),
+    ("bessel_I", {"nu": 0.5 + 0.5j}),
+]
 
 
 def max_abs_diff(f, g):
@@ -147,7 +154,11 @@ def count_line(marker, fn, *args, via=None):
     """(executions of the one line of fn that holds the text marker, result),
     counted by a line tracer while fn(*args), or via(*args) when given, runs."""
     lines, start = inspect.getsourcelines(fn)
-    [target] = [start + i for i, text in enumerate(lines) if marker in text]
+    targets = [start + i for i, text in enumerate(lines) if marker in text]
+    if len(targets) != 1:
+        raise ValueError(f"the marker {marker!r} is on {len(targets)} lines of {fn.__module__}.{fn.__qualname__}, "
+                         "not on exactly one")
+    [target] = targets
     count = 0
 
     def on_line(frame, event, arg):

@@ -16,8 +16,8 @@ from frobpde.expr_parser import parse_expr, to_series
 from frobpde.frobenius import RegularSingularPDE, radius_estimate, solve
 from frobpde.indicial import IndicialConic, resonance_scan
 from frobpde.multiseries import CSeries2, index_key, layer_sweep, norm
-from frobpde.verify import apply_operator, eval_solution, residual_max
-from helpers import CATALOG_MODELS, bits, count_line, reference_scan, reference_solve
+from frobpde.verify import _operator_sums, eval_solution, residual_max
+from helpers import CATALOG_MODELS, COMPLEX_MODELS, bits, count_line, reference_scan, reference_solve
 
 
 def scan_bits(report):
@@ -44,11 +44,15 @@ def outcome(fn, pde, r0, s0, N, policy):
 
 def assert_read_order(sol):
     """A solution is read in the order it is stored, which is the canonical one:
-    its items are those the base class sorts, and its value has their bits."""
+    its items are those the base class sorts, and its value has the bits of
+    their terms v x^q1 y^q2 summed in that order, whether or not `evaluate`
+    tabulates the powers."""
     assert list(sol.coeffs) == sorted(sol.coeffs, key=index_key)
     assert sol.items() == CSeries2.items(sol)
     for x, y in ((0.3, 0.7), (1.5, -0.5 + 2j)):
-        got, want = sol.evaluate(x, y), CSeries2(sol.order, sol.coeffs).evaluate(x, y)
+        got, want = sol.evaluate(x, y), 0j
+        for (q1, q2), v in CSeries2.items(sol):
+            want += v * x ** q1 * y ** q2
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
@@ -162,7 +166,7 @@ def test_terminating_series(name, params, last, reach, layers):
 
 #: the markers of the per-axis table lines of the sweep, of P for the divide of solve, and of the residual
 TABLE_LINES = [("support = [(*m[:3]", layer_sweep), ("rs, ss = [r0 + q1", IndicialConic.divider),
-               ("r_of, s_of = [q1 + r0", apply_operator)]
+               ("r_of, s_of = [q1 + r0", _operator_sums)]
 #: catalog models whose cleared support spans a plane, and rays with a symbol (a denominator q != 1)
 PLANES, SYMBOLIC_RAYS = ("hermite_II", "legendre_II", "chebyshev_II"), ("legendre_I", "chebyshev_I")
 
@@ -181,6 +185,29 @@ def test_per_axis_tables_only_on_planes(name, params):
     # there, and the sweep builds one only for a symbol, whose pieces it tabulates anyway
     counts = [counted_verification(marker, fn, name, params) for marker, fn in TABLE_LINES]
     assert counts == ([1, 1, 1] if name in PLANES else [1, 0, 0] if name in SYMBOLIC_RAYS else [0, 0, 0])
+
+
+#: the markers of the lines that take the sums of the sweep and of the residual to floats
+FLOAT_LINES = [("r, s, d0, symbol, support, zero = r.real", layer_sweep),
+               ("A, B, C, r0, s0, zero = A.real", _operator_sums)]
+
+
+@pytest.mark.parametrize("name, params", CATALOG_MODELS + COMPLEX_MODELS)
+def test_floats_only_on_real_planes(name, params):
+    # the sweep and the residual sum real data on a plane in floats; a ray, or complex data, stays
+    # complex; both agree with the reference bit for bit
+    counts = [counted_verification(marker, fn, name, params) for marker, fn in FLOAT_LINES]
+    real = not any(complex(v).imag for v in params.values())
+    assert counts == ([1, 1] if name in PLANES and real else [0, 0])
+    if not real:
+        assert_same(*catalog_solve(name, params, 20), catalog.resonance_policy(catalog.entry(name, **params)))
+
+
+def test_count_line_names_a_missing_or_repeated_marker():
+    with pytest.raises(ValueError, match=r"'no such text' is on 0 lines of frobpde.verify._operator_sums"):
+        count_line("no such text", _operator_sums)
+    with pytest.raises(ValueError, match=r"'fv \* t' is on 2 lines of frobpde.verify._operator_sums"):
+        count_line("fv * t", _operator_sums)
 
 
 @pytest.mark.parametrize("name, params", CATALOG_MODELS)
@@ -206,6 +233,16 @@ def test_underflow_is_not_termination(eps, N, radius):
     assert bits(sol) == assert_same(underflowing_pde(eps, N), 0.5, 0.5, N, "strict")[0]
     assert max(map(norm, sol.coeffs)) < N and not sol.terminates
     assert radius_estimate(sol) == radius_estimate(dict(sol.coeffs), order=N) == pytest.approx(radius, rel=1e-5)
+
+
+@pytest.mark.parametrize("eps, N", [("1e-20", 66), ("1e-20", 80), ("1e-40", 34), ("1e-40", 40)])
+def test_underflowed_top_half_is_not_an_entire_series(eps, N):
+    # every top-half layer underflowed to 0: the estimate reads the table up to its last nonzero
+    # layer, near 1 / sqrt(eps), where a plain table still gives +inf
+    sol = solve(underflowing_pde(eps, N), 0.5, 0.5, N)
+    assert not sol.terminates and not any(sol.layer_sums()[N // 2:])
+    assert radius_estimate(sol) == pytest.approx(1 / math.sqrt(float(eps)), rel=0.1)
+    assert radius_estimate(dict(sol.coeffs), order=N) == math.inf
 
 
 @pytest.mark.parametrize("N, x, y", [(34, 1.2e10, 1), (40, 2e10, 0.5)])
@@ -262,9 +299,16 @@ def text_pde(A, B, C, texts, N):
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_pdes())
-# a support that spans a plane, with q = 1 - x: the removable hit (1, 1) is reached
+# a support that spans a plane, with q = 1 - x: the removable hit (1, 1) is reached, on real
+# data, so summed in floats
 @example((text_pde(1, 0, -1, ["1 + 0.1*x*y + 0.5*x", "-1 + 0.2*x*y", "-0.3*x*y/(1 - x)"], 8), 1, 1, 8,
           "skip_removable"))
+# the same plane with a complex A, summed in complex numbers: (1, 1) is then no hit
+@example((text_pde(1 + 0.5j, 0, -1, ["1 + 0.1*x*y + 0.5*x", "-1 + 0.2*x*y", "-0.3*x*y/(1 - x)"], 8), 1, 1, 8,
+          "skip_removable"))
+# a real support on a plane with a complex conic (D = 0.5i): P is complex, so the sums are too
+@example((text_pde(1, 0, -1, ["1 + 0.5*i + 0.1*x*y + 0.5*x", "-1 + 0.2*x*y", "-0.5*i - 0.3*x*y"], 8), 1, 1, 8,
+          "strict"))
 @example((text_pde(1, 2, 1, ["1/(1 - x)", "1", "x/(1 - x)"], 12), 0, 0, 12, "strict"))  # the ray q = 1 - x
 @example((text_pde(1, 0, 1, ["1 + x*y", "1", "0.5*x*y/(1 - x*y)"], 12), 0, 0, 12, "strict"))  # the diagonal
 @example((text_pde(1, 0, 1, ["1", "1", "0"], 6), 0, 0, 6, "strict"))  # no support: the table is D_(0,0)

@@ -15,8 +15,8 @@ from frobpde.errors import OutsideEstimatedDomain
 from frobpde.expr_parser import parse_expr, to_series
 from frobpde.frobenius import FrobeniusSolution, RegularSingularPDE, prepare_coordinates, radius_estimate, solve
 from frobpde.multiseries import CSeries2, cauchy_mul
-from frobpde.verify import apply_operator, eval_solution, residual_max
-from helpers import CATALOG_MODELS, count_line
+from frobpde.verify import _operator_sums, apply_operator, eval_solution, residual_max
+from helpers import CATALOG_MODELS, COMPLEX_MODELS, count_line
 
 
 def make_pde(A, B, C, a, b, c, order=12):
@@ -30,6 +30,7 @@ BESSEL = make_pde(1, 2, 1, "1", "1", "x^2", order=20)
 EXPRESSIONS = ["0", "1", "-2.5", "x", "x^2 - 0.25", "1 + x*y", "3*x - y^2 + 0.5*x*y", "1/(1 - x)",
                "(2 + y)/(1 - x*y)", "x/(2 - y)", "1/(1 - x - y)^2", "0.5/(3 - x) - 0.25/(0.5 - x^2)"]
 NUMBERS = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+REALS = st.floats(-4, 4, allow_nan=False).map(complex)
 
 
 def docstring_operator(pde, r0, s0, S):
@@ -50,14 +51,17 @@ def docstring_operator(pde, r0, s0, S):
 
 @st.composite
 def operator_cases(draw):
+    """An operator case whose A, B, C, r0 and s0 are all complex or all real,
+    as are the values of its table (the texts are real)."""
     M = draw(st.integers(0, 6))
     texts = draw(st.lists(st.sampled_from(EXPRESSIONS), min_size=3, max_size=3))
     order = M + draw(st.integers(0, 2))
     coefficients = [to_series(parse_expr(t), {}, order) for t in texts]
-    pde = RegularSingularPDE(*(draw(NUMBERS) for _ in "ABC"), *coefficients)
+    numbers, values = draw(st.sampled_from([NUMBERS, REALS])), draw(st.sampled_from([NUMBERS, REALS]))
+    pde = RegularSingularPDE(*(draw(numbers) for _ in "ABC"), *coefficients)
     keys = st.tuples(st.integers(0, M), st.integers(0, M)).filter(lambda Q: Q[0] + Q[1] <= M)
-    S = CSeries2(M, draw(st.dictionaries(keys, NUMBERS, max_size=12)))
-    return pde, draw(NUMBERS), draw(NUMBERS), S
+    S = CSeries2(M, draw(st.dictionaries(keys, values, max_size=12)))
+    return pde, draw(numbers), draw(numbers), S
 
 
 def table_case(texts, keys, r0=0.5 - 0.25j, s0=-1.5):
@@ -82,6 +86,16 @@ SEVERAL = table_case(["(2 + y)/(1 - x*y)", "1/(1 - x)", "0.5/(3 - x) - 0.25/(0.5
 DIAGONAL_TEXTS = ["1/(1 - x*y)", "2 + x*y", "0.5*x^2*y^2 - 1"]
 DIAGONAL = table_case(DIAGONAL_TEXTS, [(k, k) for k in range(16)])
 DIAGONAL_LATTICE = table_case(DIAGONAL_TEXTS, [(q1, n - q1) for n in range(11) for q1 in range(n + 1)])
+
+
+def real_parts(case):
+    """The operator case with the real parts of A, B, C, r0, s0 and the table."""
+    pde, r0, s0, S = case
+    pde = pde._replace(A=complex(pde.A).real, B=complex(pde.B).real, C=complex(pde.C).real)
+    return pde, complex(r0).real, complex(s0).real, CSeries2(S.order, {Q: v.real for Q, v in S.coeffs.items()})
+
+
+REAL_LATTICE, REAL_SEVERAL = real_parts(LATTICE), real_parts(SEVERAL)
 
 
 class TestApplyOperator:
@@ -123,6 +137,8 @@ class TestApplyOperator:
     @example(SEVERAL)
     @example(DIAGONAL)
     @example(DIAGONAL_LATTICE)
+    @example(REAL_LATTICE)
+    @example(REAL_SEVERAL)
     @settings(max_examples=150, deadline=None)
     def test_equals_the_docstring_formula(self, case):
         # value for value, not approximately: the summation order is pinned
@@ -133,10 +149,73 @@ class TestApplyOperator:
                                                  (DIAGONAL_LATTICE, 1)])
     def test_per_axis_tables_where_q1_repeats(self, case, tabulated):
         # with more d_Q than values of q1 the factors of one axis are tabulated, whatever the support
-        assert count_line("r_of, s_of = [q1 + r0", apply_operator, *case)[0] == tabulated
+        assert count_line("r_of, s_of = [q1 + r0", _operator_sums, *case, via=apply_operator)[0] == tabulated
+
+
+def layer_maxima(table, order):
+    """max |v| over each layer of a table, 0.0 on a layer without a value."""
+    maxima = [0.0] * (order + 1)
+    for (q1, q2), v in table.items():
+        maxima[q1 + q2] = max(maxima[q1 + q2], abs(v))
+    return maxima
+
+
+def assert_maxima_of_apply_operator(pde, sol):
+    """residual_max reports the layer maxima of apply_operator's table, bit for bit."""
+    rep = residual_max(pde, sol)
+    want = layer_maxima(apply_operator(pde, sol.r0, sol.s0, sol), sol.order)
+    assert [(n, v.hex()) for n, v in rep.per_layer.items()] == [(n, v.hex()) for n, v in enumerate(want)]
+    assert rep.max_residual.hex() == max(want).hex() and rep.checked_up_to == sol.order
+
+
+#: the accumulation lines of the residual: into a list of slots on a plane, into a dict on a ray
+ACCUMULATION = ["acc[key + shift] += fv * t", "acc[key] = get(key, 0j) + fv * t"]
 
 
 class TestResidualMax:
+    @pytest.mark.parametrize("N", [20, 40])
+    @pytest.mark.parametrize("name, params", CATALOG_MODELS + COMPLEX_MODELS)
+    def test_layer_maxima_of_apply_operator(self, name, params, N):
+        ent = catalog.entry(name, **params)
+        assert_maxima_of_apply_operator(catalog.make_pde(ent, N), catalog.solve_entry(ent, N=N))
+
+    @given(operator_cases())
+    @example(LATTICE)
+    @example(REAL_LATTICE)
+    @example(REAL_SEVERAL)
+    @example((*REAL_LATTICE[:3], LATTICE[3]))  # a complex table on real data: no floats
+    @settings(max_examples=100, deadline=None)
+    def test_layer_maxima_on_operator_cases(self, case):
+        # complex and real tables, on rays and on planes: the dict, and the list of slots in complex
+        # numbers and in floats
+        pde, r0, s0, S = case
+        assert_maxima_of_apply_operator(pde, FrobeniusSolution(r0, s0, S.order, S.coeffs, None, None))
+
+    @pytest.mark.parametrize("case", [(BESSEL, 0, 0, CSeries2(2, {(2, 0): 1e308})),
+                                      (*REAL_LATTICE[:3], CSeries2(12, {**REAL_LATTICE[3].coeffs, (3, 4): 1e308}))])
+    def test_overflow_refused_as_apply_operator_refuses(self, case):
+        # a ray sums in a dict, a real plane in floats: either refuses as apply_operator does
+        pde, r0, s0, S = case
+        with pytest.raises(ValueError, match="non-finite coefficient") as want:
+            apply_operator(pde, r0, s0, S)
+        with pytest.raises(ValueError) as got:
+            residual_max(pde, FrobeniusSolution(r0, s0, S.order, S.coeffs, None, None))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name, params, exponent", [("bessel_I", {"nu": 0}, 1), ("disturbed_heat", {"a": 1}, 1),
+                                                        ("hermite_II", {"lam": 1.3}, 2),
+                                                        ("legendre_II", {"lam": 0.7}, 2)])
+    def test_work_grows_as_stated(self, name, params, exponent):
+        # the products the residual sums: at most one per monomial of a cleared polynomial and
+        # coefficient, and O(N) on a ray, O(N^2) where the solution fills the lattice
+        steps = []
+        for N in (20, 40, 80):
+            ent = catalog.entry(name, **params)
+            pde, sol = catalog.make_pde(ent, N), catalog.solve_entry(ent, N=N)
+            steps.append(sum(count_line(line, _operator_sums, pde, sol, via=residual_max)[0] for line in ACCUMULATION))
+            assert 0 < steps[-1] <= sum(len(f.coeffs) for f in pde.cleared()) * len(sol.coeffs)
+        assert all(abs(math.log2(b / a) - exponent) < 0.1 for a, b in zip(steps, steps[1:])), steps
+
     def test_engine_output_verifies(self):
         sol = solve(BESSEL, 0, 0, 20)
         rep = residual_max(BESSEL, sol)
@@ -269,7 +348,7 @@ class TestWorkDoneOnce:
     def test_dense_verified_solve(self, name, params):
         # a verified solve reads only the cleared polynomials and the table the
         # sweep checked: no fraction is expanded and no large table checked
-        # twice, by the constructor or by the table rule (`checked_table`)
+        # again, by the constructor or by the table rule (`checked_table`)
         calls = []
         counted = self.recorder(calls)
         N = 40
@@ -281,8 +360,8 @@ class TestWorkDoneOnce:
         counted(residual_max, pde, sol)
         counted(radius_estimate, sol)
         counted(eval_solution, sol, 0.1, 0.1)
-        # one large table is checked: the residual, by apply_operator, which makes it
-        assert [kind for kind, n in calls if kind == "reciprocal" or n >= 200] == ["check"]
+        # none, the residual's either: residual_max refuses a non-finite sum by itself
+        assert [kind for kind, n in calls if kind == "reciprocal" or n >= 200] == []
         calls.clear()
         a = counted(getattr, pde.a, "coeffs")  # a later read expands, once, and checks the product once
         assert [kind for kind, _ in calls] == ["reciprocal", "check"]
@@ -291,7 +370,8 @@ class TestWorkDoneOnce:
         assert hashlib.sha256(repr(triples).encode()).hexdigest() == self.TABLES[name]
 
     def test_items_packed_once(self, capsys):
-        # the residual sorts the table for itself; the evaluation and the CLI read it as stored
+        # the residual sorts only a table out of order, and the evaluation and the CLI read it as
+        # stored: a verified solve packs no keys for the sort of `CSeries2.items`
         packing = "W = self.order + 1"
         ent = catalog.entry("legendre_II", lam=0.7)
         pde = catalog.make_pde(ent, 40)
@@ -301,7 +381,7 @@ class TestWorkDoneOnce:
             residual_max(pde, sol)
             radius_estimate(sol)
             return eval_solution(sol, 0.1, 0.1)
-        assert count_line(packing, CSeries2.items, pde, *catalog.default_point(ent), 40, via=verified)[0] == 1
+        assert count_line(packing, CSeries2.items, pde, *catalog.default_point(ent), 40, via=verified)[0] == 0
         path = Path(__file__).parent / "golden" / "problems" / "legendre_II_40.json"
         count, code = count_line(packing, CSeries2.items, ["solve", str(path)], via=cli.main)
         assert (count, code) == (0, 0) and len(json.loads(capsys.readouterr().out)["coeffs"]) > 200
