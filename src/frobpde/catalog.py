@@ -131,7 +131,7 @@ def _params(name):
     in order of first appearance, read once per model."""
     spec = _SPECS[name]
     tokens = [t for text in spec["ABC"] + spec["abc"] for t in _tokenize(text)]
-    return tuple(dict.fromkeys(t.text for t in tokens if t.kind == "ident" and t.text not in ("x", "y", "i")))
+    return tuple(dict.fromkeys(text for kind, text, _ in tokens if kind == "ident" and text not in ("x", "y", "i")))
 
 
 def entry(name, **params):

@@ -11,8 +11,9 @@ Payloads are deterministic: no timestamps, canonical coefficient order, every
 number printed with 17 significant digits.  `--meta` writes a timestamped
 record to stderr, keeping stdout byte-identical for identical inputs.
 
-The handlers of catalog, euler and transform euler-coordinates import
-`catalog` and `euler` themselves, so the other subcommands start without them.
+The handlers of catalog, euler, transform euler-coordinates and verify
+import `catalog`, `euler` and `verify` themselves, so the other subcommands
+start without them.
 """
 
 import argparse
@@ -27,7 +28,6 @@ from .errors import BasePointNotOnConic, ConstraintViolated, FrobPDEError, NoSol
 from .expr_parser import parse_expr, to_series
 from .frobenius import RegularSingularPDE, prepare_coordinates, radius_estimate, solve
 from .indicial import ALL_SOLUTIONS, DEFAULT_TOL, classify, resonance_scan, solve_for_s
-from .verify import residual_max
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +250,8 @@ def _cmd_scan(args):
 
 
 def _cmd_verify(args):
+    from .verify import residual_max
+
     report = residual_max(*_solved(args))
     _emit(args, {"residual": report}, ("layer", "max_abs_residual"), sorted(report.per_layer.items()))
 

@@ -74,26 +74,14 @@ class CSeries2:
         if name != "coeffs" or self.fraction is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         num, den = self.fraction
-        object.__setattr__(self, "coeffs", cauchy_mul(num, reciprocal(den)).coeffs)
+        object.__setattr__(self, "coeffs", mul_tables(num.coeffs, reciprocal(den).coeffs, self.order))
         return self.coeffs
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(value, order):
-        return CSeries2(order, {(0, 0): value})
-
-    @staticmethod
     def one(order):
         return CSeries2(order, {(0, 0): 1.0})
-
-    @staticmethod
-    def variable(name, order):
-        if name == "x":
-            return CSeries2(order, {(1, 0): 1.0})
-        if name == "y":
-            return CSeries2(order, {(0, 1): 1.0})
-        raise ValueError(f"unknown variable {name!r}")
 
     # -- basic queries -----------------------------------------------------
 
@@ -196,21 +184,26 @@ def _far_term(v, x, q1, y, q2):
 
 
 def cauchy_mul(f, g):
-    """Full convolution product, truncated at min(order(f), order(g)): each
+    """Full convolution product, truncated at min(order(f), order(g)), as `mul_tables` forms it."""
+    order = min(f.order, g.order)
+    return object.__new__(CSeries2)._set(order, mul_tables(f.coeffs, g.coeffs, order))
+
+
+def mul_tables(f, g, order):
+    """The table of the product of tables f and g, truncated at order: each
     coefficient summed from 0j over the tables in their dict order, f outer
     and g inner; zero sums are kept until the table rule drops them."""
-    order = min(f.order, g.order)
     out = {}
-    for (p1, p2), fv in f.coeffs.items():
+    for (p1, p2), fv in f.items():
         if p1 + p2 > order:
             continue
-        for (r1, r2), gv in g.coeffs.items():
+        for (r1, r2), gv in g.items():
             q1, q2 = p1 + r1, p2 + r2
             if q1 + q2 > order:
                 continue
             key = (q1, q2)
             out[key] = out.get(key, 0j) + fv * gv
-    return object.__new__(CSeries2)._set(order, checked_table(out.items()))
+    return checked_table(out.items())
 
 
 # -- the layer sweep ---------------------------------------------------------

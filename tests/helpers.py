@@ -1,15 +1,23 @@
 """Helpers shared by the tests: series helpers, the catalog models, the
 per-point references for the engine and the resonance scan, exact
-references for the series operations and for `to_series`, and the
-character-by-character reference for the expression tokenizer."""
+references for the series operations and for `to_series`, the series
+reference for `to_series`, the character-by-character reference for the
+expression tokenizer and a pointwise evaluator of expression ASTs."""
 
 import inspect
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
 
-from frobpde.errors import BasePointNotOnConic, ExprSyntaxError, ResonantPoint
+from frobpde.errors import (
+    BasePointNotOnConic,
+    DivisionBySeriesWithZeroConstantTerm,
+    ExprSyntaxError,
+    ResonantPoint,
+    UnboundParameter,
+)
 from frobpde.frobenius import FrobeniusSolution, convergence_report
 from frobpde.indicial import DEFAULT_TOL, ResonanceReport
 from frobpde.multiseries import CSeries2, cauchy_mul, index_key, norm, reciprocal
@@ -150,6 +158,10 @@ def reference_solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     return FrobeniusSolution(r0, s0, N, coeffs, certificate, report, terminates)
 
 
+#: the line of `multiseries.mul_tables` that adds one term to a coefficient of a product
+PRODUCT_TERM = "out[key] = out.get(key, 0j) + fv * gv"
+
+
 def count_line(marker, fn, *args, via=None):
     """(executions of the one line of fn that holds the text marker, result),
     counted by a line tracer while fn(*args), or via(*args) when given, runs."""
@@ -281,12 +293,8 @@ def dense_to_series(ast, params, order):
     """`to_series` as it was before it kept fractions: every node a dense
     series, every division a product with the reciprocal of the divisor."""
     kind = ast[0]
-    if kind in ("num", "param"):
-        return CSeries2.constant(ast[1] if kind == "num" else params[ast[1]], order)
-    if kind == "i":
-        return CSeries2.constant(1j, order)
-    if kind == "var":
-        return CSeries2.variable(ast[1], order)
+    if kind in ("num", "param", "i", "var"):
+        return _leaf_series(ast, params, order)
     if kind == "neg":
         return -dense_to_series(ast[1], params, order)
     if kind == "pow":
@@ -303,6 +311,64 @@ def dense_to_series(ast, params, order):
     return cauchy_mul(f, g if kind == "mul" else reciprocal(g))
 
 
+def _leaf_series(ast, params, order):
+    """The series of a leaf of an AST: a number, i, a variable or a bound parameter."""
+    kind = ast[0]
+    if kind == "var":
+        return CSeries2(order, {(1, 0) if ast[1] == "x" else (0, 1): 1.0})
+    if kind == "param" and ast[1] not in params:
+        raise UnboundParameter(f"parameter {ast[1]!r} is not bound")
+    return CSeries2(order, {(0, 0): ast[1] if kind == "num" else 1j if kind == "i" else params[ast[1]]})
+
+
+def _reference_power(f, k):
+    """f^k by squaring over the bits of k from the top, as `expr_parser._int_power` forms it."""
+    g = CSeries2.one(f.order)
+    for i, bit in enumerate(f"{k:b}"):
+        if i:
+            g = cauchy_mul(g, g)
+        if bit == "1":
+            g = cauchy_mul(g, f)
+    return g
+
+
+def _reference_product(f, g):
+    """f g, with None standing for 1."""
+    return f if g is None else g if f is None else cauchy_mul(f, g)
+
+
+def reference_fraction(ast, params, order):
+    """`expr_parser._fraction` as it was before it evaluated on plain tables:
+    (num, den) series, den(0, 0) = 1 or den None for 1, every node a CSeries2
+    summed and negated by the series operations."""
+    kind = ast[0]
+    if kind in ("num", "param", "i", "var"):
+        return _leaf_series(ast, params, order), None
+    if kind == "neg":
+        num, den = reference_fraction(ast[1], params, order)
+        return -num, den
+    if kind == "pow":
+        num, den = reference_fraction(ast[1], params, order)
+        return _reference_power(num, ast[2]), None if den is None else _reference_power(den, ast[2])
+    (n1, d1), (n2, d2) = reference_fraction(ast[1], params, order), reference_fraction(ast[2], params, order)
+    if kind == "mul":
+        return cauchy_mul(n1, n2), _reference_product(d1, d2)
+    if kind == "div":
+        c = n2.constant_term()
+        if c == 0:
+            raise DivisionBySeriesWithZeroConstantTerm("division by a series with zero constant term")
+        if d2 is None and len(n2.coeffs) == 1:
+            return cauchy_mul(n1, CSeries2(order, {(0, 0): 1 / c})), d1
+        num, den = _reference_product(n1, d2), _reference_product(d1, n2)
+        if c != 1:
+            num = CSeries2(order, {Q: v / c for Q, v in num.coeffs.items()})
+            den = CSeries2(order, {**{Q: v / c for Q, v in den.coeffs.items()}, (0, 0): 1})
+        return num, den
+    if d1 != d2:
+        n1, n2, d1 = _reference_product(n1, d2), _reference_product(n2, d1), _reference_product(d1, d2)
+    return (n1 + n2 if kind == "add" else n1 - n2), d1
+
+
 def layer_relative_error(series, exact):
     """max over the layers n of max_Q |D_Q - exact_Q| / max_Q |exact_Q|, Q on
     layer n.  A layer whose exact coefficients all vanish is measured
@@ -315,6 +381,25 @@ def layer_relative_error(series, exact):
         err = max(math.hypot(Fraction(series.get(Q).real) - exact.get(Q, 0), series.get(Q).imag) for Q in layer)
         worst = max(worst, err / float(scale))
     return worst
+
+
+# -- pointwise evaluation of an AST ---------------------------------------------
+
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+def evaluate_ast(ast, params, x, y):
+    """The value of an expression AST at the point (x, y), straight from the tree."""
+    kind = ast[0]
+    if kind in ("num", "param"):
+        return ast[1] if kind == "num" else params[ast[1]]
+    if kind in ("i", "var"):
+        return 1j if kind == "i" else x if ast[1] == "x" else y
+    if kind == "neg":
+        return -evaluate_ast(ast[1], params, x, y)
+    if kind == "pow":
+        return evaluate_ast(ast[1], params, x, y) ** ast[2]
+    return _BINARY[kind](evaluate_ast(ast[1], params, x, y), evaluate_ast(ast[2], params, x, y))
 
 
 # -- reference for the tokenizer ----------------------------------------------

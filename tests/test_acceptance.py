@@ -414,7 +414,7 @@ def _prep_identity_defect(series_A, f):
     xfprime = CSeries2(order, {(q1, q2): v * q1 for (q1, q2), v in f.coeffs.items()})
     w = f + xfprime
     lhs = cauchy_mul(series_A, cauchy_mul(w, w))
-    rhs = cauchy_mul(CSeries2.constant(series_A.constant_term(), order), cauchy_mul(f, f))
+    rhs = cauchy_mul(CSeries2(order, {(0, 0): series_A.constant_term()}), cauchy_mul(f, f))
     return max_abs_diff(lhs, rhs)
 
 
@@ -435,7 +435,7 @@ def test_criterion_15_preparation():
             ok = False
         if _prep_identity_defect(C.transpose(), g.transpose()) > 1e-12:
             ok = False
-    f, g = prepare_coordinates(CSeries2.constant(3.0, 12), CSeries2.constant(0.5, 12))
+    f, g = prepare_coordinates(CSeries2(12, {(0, 0): 3.0}), CSeries2(12, {(0, 0): 0.5}))
     if f != CSeries2.one(12) or g != CSeries2.one(12):
         ok = False
     report(15, "preparation transform identity for 20 random unit series", ok)

@@ -8,20 +8,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frobpde import catalog
 from frobpde.errors import (
     DivisionBySeriesWithZeroConstantTerm,
     ExprSyntaxError,
+    FrobPDEError,
     UnboundParameter,
 )
 from frobpde.expr_parser import _MAX_NESTING, _int_power, _tokenize, parse_expr, pretty, to_series
-from frobpde.multiseries import CSeries2, cauchy_mul, reciprocal
+from frobpde.multiseries import CSeries2, cauchy_mul, mul_tables, reciprocal
 from helpers import (
+    CATALOG_MODELS,
+    PRODUCT_TERM,
     bits,
+    count_line,
     dense_to_series,
     exact_mul,
     exact_reciprocal,
     exact_series,
     max_abs_diff,
+    reference_fraction,
     reference_tokenize,
 )
 
@@ -143,6 +149,11 @@ class TestErrors:
         with pytest.raises(ValueError, match="unknown node kind 'sqrt'"):
             to_series(tree, {}, 4)
 
+    def test_unknown_variable_refused(self):
+        # a tree that parse_expr does not make: x and y are the only variables
+        with pytest.raises(ValueError, match="unknown variable 'z'"):
+            to_series(("var", "z"), {}, 2)
+
     def test_location_one_based(self):
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr("1 + $")
@@ -237,7 +248,7 @@ class TestEvaluation:
             one_at_a_time = CSeries2.one(5)
             for _ in range(k):
                 one_at_a_time = cauchy_mul(one_at_a_time, g)
-            assert bits(_int_power(g, k)) == bits(one_at_a_time)
+            assert bits(CSeries2(5, _int_power(g.coeffs, k, 5))) == bits(one_at_a_time)
 
     def test_rational_normalization(self):
         # (1-x^2) * [x^2/(1-x^2)] == x^2 up to the truncation order
@@ -246,24 +257,33 @@ class TestEvaluation:
         assert max_abs_diff(prod, ev("x^2", order=10)) < 1e-12
 
 
-_ATOMS = st.sampled_from(["x", "y", "2", "3", "0.5", "lam", "i"])
+_ATOMS = ("x", "y", "2", "3", "0.5", "lam", "i")
+_KINDS = ("atom", "add", "sub", "mul", "neg", "pow", "paren")
+#: the widened set: zeros of both signs and a literal whose cube overflows
+_WIDE_ATOMS = _ATOMS + ("0", "-0.0", "1e200")
 
 
 @st.composite
-def exprs(draw, depth=3):
+def exprs(draw, depth=3, atoms=_ATOMS, kinds=_KINDS, max_power=3):
     if depth == 0:
-        return draw(_ATOMS)
-    kind = draw(st.sampled_from(["atom", "add", "sub", "mul", "neg", "pow", "paren"]))
+        return draw(st.sampled_from(atoms))
+    kind = draw(st.sampled_from(kinds))
     if kind == "atom":
-        return draw(_ATOMS)
-    if kind in ("add", "sub", "mul"):
-        op = {"add": "+", "sub": "-", "mul": "*"}[kind]
-        return f"{draw(exprs(depth=depth - 1))} {op} {draw(exprs(depth=depth - 1))}"
+        return draw(st.sampled_from(atoms))
+
+    def operand():
+        return draw(exprs(depth - 1, atoms, kinds, max_power))
+
+    if kind in ("add", "sub", "mul", "div"):
+        op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
+        return f"{operand()} {op} {operand()}"
+    if kind == "unit":  # a divisor that is a unit, so the quotient is a fraction
+        return f"{operand()} / (1 - x*({operand()}))"
     if kind == "neg":
-        return f"-({draw(exprs(depth=depth - 1))})"
+        return f"-({operand()})"
     if kind == "pow":
-        return f"({draw(exprs(depth=depth - 1))})^{draw(st.integers(0, 3))}"
-    return f"({draw(exprs(depth=depth - 1))})"
+        return f"({operand()})^{draw(st.integers(0, max_power))}"
+    return f"({operand()})"
 
 
 class TestProperties:
@@ -289,6 +309,65 @@ class TestProperties:
         rhs = cauchy_mul(to_series(parse_expr(t1), params, 4), to_series(parse_expr(t2), params, 4))
         scale = 1 + max((abs(v) for v in rhs.coeffs.values()), default=0.0)
         assert max_abs_diff(lhs, rhs) < 1e-9 * scale
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError, FrobPDEError) as exc:
+        return type(exc), str(exc)
+
+
+def _table_bits(ast, params, order):
+    """The bits of to_series: its fraction slots, None for den = 1, and its coefficients."""
+    series = to_series(ast, params, order)
+    return series.fraction and [bits(f) for f in series.fraction], _outcome(bits, series)
+
+
+def _reference_bits(ast, params, order):
+    """The bits that `_table_bits` reads, from the series reference."""
+    num, den = reference_fraction(ast, params, order)
+    if den is None:
+        return None, bits(num)
+    return [bits(num), bits(den)], _outcome(lambda: bits(cauchy_mul(num, reciprocal(den))))
+
+
+#: parameter values: real, complex, with a signed zero, and one whose square overflows
+_LAMS = st.sampled_from([1.5, 0.7 - 0.2j, complex(-0.0, 1.0), complex(1e200, -1.0)]) | st.complex_numbers(
+    max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("name, params", CATALOG_MODELS, ids=[name for name, _ in CATALOG_MODELS])
+def test_to_series_work_does_not_grow_with_the_order(name, params):
+    # the polynomials of a catalog model's a, b, c have fixed degrees, and a
+    # fraction is not expanded, so the products of to_series sum the same
+    # number of terms at every order
+    texts, bound = catalog._SPECS[name]["abc"], dict(catalog.entry(name, **params).params)
+    counts = [count_line(PRODUCT_TERM, mul_tables, N, via=lambda N: [to_series(parse_expr(t), bound, N) for t in texts])[0]
+              for N in (20, 40, 80)]
+    assert counts[0] == counts[1] == counts[2]
+
+
+class TestTableEvaluation:
+    """to_series evaluates on plain tables with the bits of the series
+    reference: stored key order, signed zeros, both fraction slots and
+    every refusal."""
+
+    @given(exprs(atoms=_WIDE_ATOMS, kinds=_KINDS + ("div", "unit"), max_power=5), _LAMS, st.integers(0, 8))
+    @example("(1e200)^3", 1.5, 4)
+    @example("lam*(lam+1)*x^2/(1-x^2)", 0.7, 16)
+    @example("(x - lam) / (lam + y) - -0.0 * i", 0.7 - 0.2j, 6)
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_series_reference(self, text, lam, order):
+        ast = parse_expr(text)
+        params = {"lam": lam}
+        assert _outcome(_table_bits, ast, params, order) == _outcome(_reference_bits, ast, params, order)
+
+    def test_overflow_refused_at_its_first_value(self):
+        # 1e200 squared is the first product beyond the float range
+        with pytest.raises(ValueError, match=r"^non-finite coefficient \(inf\+0j\)$"):
+            ev("(1e200)^3")
 
 
 # -- fractions ------------------------------------------------------------------

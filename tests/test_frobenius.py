@@ -323,11 +323,11 @@ class TestPrepareCoordinates:
         xfprime = CSeries2(order, {(q1, q2): v * q1 for (q1, q2), v in f.coeffs.items()})
         w = f + xfprime
         lhs = cauchy_mul(A_series, cauchy_mul(w, w))
-        rhs = cauchy_mul(CSeries2.constant(A_series.constant_term(), order), cauchy_mul(f, f))
+        rhs = cauchy_mul(CSeries2(order, {(0, 0): A_series.constant_term()}), cauchy_mul(f, f))
         return max_abs_diff(lhs, rhs)
 
     def test_constant_input_gives_one(self):
-        f, g = prepare_coordinates(CSeries2.constant(3.0, 8), CSeries2.constant(2.0, 8))
+        f, g = prepare_coordinates(CSeries2(8, {(0, 0): 3.0}), CSeries2(8, {(0, 0): 2.0}))
         assert f == CSeries2.one(8)
         assert g == CSeries2.one(8)
 

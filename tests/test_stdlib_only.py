@@ -1,7 +1,7 @@
 """The runtime stays stdlib-only: every absolute import in the package names
 a standard-library module.  Importing the CLI stays light: each subcommand
-loads `catalog` and `euler` only when it uses them, which fresh interpreters
-check, since the test modules themselves import both."""
+loads `catalog`, `euler` and `verify` only when it uses them, which fresh
+interpreters check, since the test modules themselves import all three."""
 
 import ast
 import json
@@ -40,10 +40,14 @@ def test_imports_are_stdlib(path):
     assert foreign == []
 
 
+#: the modules that only the subcommands that use them import
+LAZY_MODULES = {"frobpde.catalog", "frobpde.euler", "frobpde.verify"}
+
+
 def test_cli_import_loads_no_heavy_module():
     """`import frobpde.cli` is what every CLI call pays for first: it must not
-    pull in dataclasses, inspect, datetime, typing or csv, nor the catalog
-    and Euler modules that only some subcommands use."""
+    pull in dataclasses, inspect, datetime, typing or csv, nor the catalog,
+    Euler and verify modules that only some subcommands use."""
     code = (
         "import sys; before = set(sys.modules); import frobpde.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
@@ -52,7 +56,7 @@ def test_cli_import_loads_no_heavy_module():
     assert proc.returncode == 0, proc.stderr
     new = proc.stdout.decode().split()
     assert "frobpde.cli" in new
-    heavy = {"dataclasses", "inspect", "datetime", "typing", "csv", "frobpde.catalog", "frobpde.euler"}
+    heavy = {"dataclasses", "inspect", "datetime", "typing", "csv", *LAZY_MODULES}
     assert heavy.isdisjoint(new)
 
 
@@ -64,6 +68,7 @@ LAZY_CASES = {
     "transform_euler_to_constant": {"frobpde.euler"},
     "transform_prepare": set(),
     "bessel.solve": set(),
+    "bessel.verify": {"frobpde.verify"},
 }
 
 
@@ -75,7 +80,7 @@ def test_cli_module_run_matches_golden(case):
     assert proc.returncode == json.loads(golden.CODES.read_text())[case], proc.stderr
     assert proc.stdout == (golden.EXPECTED / f"{case}.out").read_bytes()
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()}
-    assert imported & {"frobpde.catalog", "frobpde.euler"} == LAZY_CASES[case]
+    assert imported & LAZY_MODULES == LAZY_CASES[case]
 
 
 def test_readme_imports_work_in_a_fresh_interpreter():

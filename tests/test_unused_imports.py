@@ -7,12 +7,15 @@ public function and method of the modules the program runs is read by the
 package or the benchmark, but for a listed few kept by design.  Every public
 instance attribute that the package assigns is read by the package, the
 tests or the benchmark.  Only `multiseries` writes the slots of a series,
-and the refusal of the table rule is written once."""
+and the refusal of the table rule and the term of a product are each
+written once."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from helpers import PRODUCT_TERM
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "src" / "frobpde").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -298,6 +301,11 @@ def test_only_multiseries_writes_series_slots():
     assert series_slot_writers(sources) == []
     refusal = "non-finite coefficient {bad!r}"
     assert sum(source.count(refusal) for source in sources.values()) == 1
+
+
+def test_the_product_loop_has_one_owner():
+    sources = [p.read_text() for p in FILES if p.parent.name == "frobpde"]
+    assert sum(source.count(PRODUCT_TERM) for source in sources) == 1
 
 
 def test_checker_flags_a_series_slot_written_outside_multiseries():
