@@ -15,7 +15,7 @@ from functools import reduce
 
 from .errors import ResonantPoint, ZeroConstantTerm
 from .indicial import DEFAULT_TOL, IndicialConic, resonance_scan, unit_scale
-from .multiseries import CSeries2, _power, cauchy_mul, index_key, layer_sweep, spans_plane
+from .multiseries import CSeries2, _power, cauchy_mul, index_key, layer_sweep
 
 
 class RegularSingularPDE(namedtuple("RegularSingularPDE", "A B C a b c")):
@@ -133,10 +133,11 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     The layers are swept in order over the lattice points reachable from
     the support: D_Q is computed only where some nonzero D_P and support
     monomial m give P + m = Q.  Everywhere else e_Q = 0 exactly, so D_Q = 0
-    (at a hit too), and the solution terminates when the sweep says so.  P
-    is `conic.evaluate`, from per-axis tables on a support that spans a
-    plane (`IndicialConic.divider`).  The first coefficient that
-    overflows to inf or nan is refused with ValueError.
+    (at a hit too), and the solution terminates when the sweep says so.
+    With no hit, solve passes no divide, and the sweep divides by P itself
+    (`IndicialConic.divider`, per-axis tables on a plane); with hits, the
+    wrapper that checks them divides by `conic.evaluate`.  The first
+    coefficient that overflows to inf or nan is refused with ValueError.
 
     The engine is indifferent to the convergence conditions: it computes
     formal solutions even when no sufficient condition holds.
@@ -161,7 +162,6 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
     polys = pde.cleared()
     monomials = sorted(set().union(*(f.coeffs for f in polys)) - {(0, 0)}, key=index_key)
     support = [(*m, *(f.get(m) for f in polys)) for m in monomials]  # (m1, m2, q_m, a_m, b_m, c_m)
-    divide = conic.divider(r0, s0, N, spans_plane(monomials))
     scale = 1.0
 
     def divide_at_hits(q1, q2, e):
@@ -175,12 +175,12 @@ def solve(pde, r0, s0, N, tol=DEFAULT_TOL, resonance_policy="strict"):
                 "solution with this exponent pair",
                 certificate.hits,
             )
-        d = divide(q1, q2, e)
+        d = -e / conic.evaluate(r0 + q1, s0 + q2)
         if abs(d) > scale:
             scale = abs(d)
         return d
 
-    table, terminates = layer_sweep(support, r0, s0, N, 1.0 + 0j, divide_at_hits if hit_set else divide, conic)
+    table, terminates = layer_sweep(support, r0, s0, N, 1.0 + 0j, divide_at_hits if hit_set else None, conic)
     return FrobeniusSolution(r0, s0, N, table, certificate, convergence_report(pde.A, pde.B, pde.C), terminates)
 
 

@@ -212,12 +212,7 @@ def mul_tables(f, g, order):
 # support monomials m != (0, 0) with the layers below |Q|.
 
 
-def spans_plane(monomials):
-    """Whether two of the monomials (m1, m2, ...), none of them (0, 0), are not collinear."""
-    return len(monomials) > 1 and any(m[0] * monomials[0][1] - m[1] * monomials[0][0] for m in monomials[1:])
-
-
-def layer_sweep(support, r, s, order, d0, divide, symbol=None):
+def layer_sweep(support, r, s, order, d0, divide=None, symbol=None):
     """(table, terminates): the coefficient table {(q1, q2): D_Q} up to
     |Q| = order, in canonical order, with D_(0,0) = d0 and
     D_Q = divide(q1, q2, e_Q) on every later layer, and whether every D_Q
@@ -228,12 +223,17 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
     with P + m = Q add the weight w_m(P) = t_m T(p', q') + p' a_m + q' b_m
     + c_m, with p' = p1 + r and q' = p2 + s, times D_P to e_Q, so every e_Q
     sums its terms in canonical monomial order, starting from +0j.
-    symbol is the indicial conic (A, B, C, D, E, F) of an equation whose
+    symbol is the indicial conic P = (A, B, C, D, E, F) of an equation whose
     divide is -e_Q / P, as `solve` passes it, and
     T(p', q') = A p'(p'-1) + B p'q' + C q'(q'-1) its second-order symbol;
-    a monomial with t_m = 0 does not evaluate it.
-    On a support that spans a plane or has a symbol, p' a_m and q' b_m are
-    tabulated per q1 and q2; on a ray with no symbol each Q computes them.
+    a monomial with t_m = 0 does not evaluate it.  With a symbol, divide
+    may be omitted: the sweep then divides by P itself
+    (`symbol.divider(r, s, order, plane)`, from the complex r and s).
+    The sweep alone decides the per-axis paths: a plane is a support with
+    two monomials not on one ray, and order // step >= 5 (5 layers or more).
+    On a plane or with a symbol, p' a_m and q' b_m are tabulated per q1
+    and q2, and on a plane the divider tabulates P; on a ray with no
+    symbol each Q computes them.
 
     On a plane with a symbol, when r, s, d0, the conic and the support have
     zero imaginary parts, e_Q is summed in floats with the same bits: the
@@ -255,7 +255,10 @@ def layer_sweep(support, r, s, order, d0, divide, symbol=None):
     """
     sizes = [m[0] + m[1] for m in support] or [0]  # ascending
     step, reach = math.gcd(*sizes) or order + 1, sizes[-1]  # no support: no layer past 0
-    symbolic, plane = any(m[2] for m in support), spans_plane(support)
+    symbolic = any(m[2] for m in support)
+    # below 5 layers the per-axis tables cost more than they save
+    plane = order // step >= 5 and any(m[0] * support[0][1] - m[1] * support[0][0] for m in support)
+    divide = divide or symbol.divider(r, s, order, plane)
     table, zero = {(0, 0): d0}, 0j
     floats = symbol is not None and plane and [(m1, m2, t.real, a.real, b.real, c.real)
                                                for m1, m2, t, a, b, c in support]

@@ -250,8 +250,10 @@ class TestExitCodes:
          "euler-coordinates needs six coefficients A B C D E F (at /)"),
         (["transform", "prepare-coordinates", "--A", "1+x"],
          "prepare-coordinates needs --A and --C expressions (at /)"),
+        (["transform", "prepare-coordinates", "--A", "1+x", "--C", "1+y", "--order", "-1"],
+         "order must be nonnegative"),
     ], ids=["param-no-equals", "param-value", "point-one-part", "point-value", "euler-coordinates-value",
-            "euler-coordinates-count", "prepare-coordinates-C"])
+            "euler-coordinates-count", "prepare-coordinates-C", "prepare-coordinates-order"])
     def test_argument_refused(self, capsys, argv, err):
         assert main(argv) == 1
         captured = capsys.readouterr()

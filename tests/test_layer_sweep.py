@@ -164,7 +164,7 @@ def test_terminating_series(name, params, last, reach, layers):
         eval_solution(sol, 3, 0.5)
 
 
-#: the markers of the per-axis table lines of the sweep, of P for the divide of solve, and of the residual
+#: the markers of the per-axis table lines of the sweep, of P for the divide it builds, and of the residual
 TABLE_LINES = [("support = [(*m[:3]", layer_sweep), ("rs, ss = [r0 + q1", IndicialConic.divider),
                ("r_of, s_of = [q1 + r0", _operator_sums)]
 #: catalog models whose cleared support spans a plane, and rays with a symbol (a denominator q != 1)
@@ -190,6 +190,20 @@ def test_per_axis_tables_only_on_planes(name, params):
 #: the markers of the lines that take the sums of the sweep and of the residual to floats
 FLOAT_LINES = [("r, s, d0, symbol, support, zero = r.real", layer_sweep),
                ("A, B, C, r0, s0, zero = A.real", _operator_sums)]
+
+
+@pytest.mark.parametrize("N, layers", [(8, 4), (12, 6)])
+@pytest.mark.parametrize("name, params", [(name, params) for name, params in CATALOG_MODELS if name in PLANES])
+def test_plane_paths_from_five_layers(name, params, N, layers):
+    # the three planes step by 2: below 5 layers the sweep takes the ray paths, with no per-axis table
+    # but a symbol's, no P table and no float sums, and the same bits; the residual keeps its own rule
+    tables = [counted_verification(marker, fn, name, params, N) for marker, fn in TABLE_LINES]
+    floats = [counted_verification(marker, fn, name, params, N) for marker, fn in FLOAT_LINES]
+    assert swept(name, params, N)[0] == layers
+    symbolic = name != "hermite_II"  # legendre_II and chebyshev_II have a denominator
+    assert tables == ([1, 1, 1] if layers >= 5 else [int(symbolic), 0, 1])
+    assert floats == ([1, 1] if layers >= 5 else [0, 1])
+    assert_same(*catalog_solve(name, params, N), "strict")
 
 
 @pytest.mark.parametrize("name, params", CATALOG_MODELS + COMPLEX_MODELS)

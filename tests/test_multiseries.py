@@ -31,6 +31,10 @@ def series(order, table):
     return CSeries2(order, table)
 
 
+#: every index of the even layers of order 40: 441 terms, 41 values of q1
+EVEN_LAYERS = [(q1, n - q1) for n in range(0, 41, 2) for q1 in range(n + 1)]
+
+
 @st.composite
 def small_series(draw, order=5, unit=False):
     table = {}
@@ -123,11 +127,13 @@ class TestCSeries2:
         f = series(3, {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 3.0, (1, 1): 4.0})
         assert f.evaluate(0.5, 0.25) == pytest.approx(1 + 1.0 + 0.75 + 0.5)
 
-    @pytest.mark.parametrize("Q, x, y, want", [((40, 0), 1e10, 1.0, 1e100), ((40, 0), 1e10j, -1, 1e100),
-                                               ((20, 20), 1e20, 1e-20, 1e-300), ((20, 20), 1e16, 1e-1, 1.0)])
+    @pytest.mark.parametrize("Q, x, y, want", [([(40, 0)], 1e10, 1.0, 1e100), ([(40, 0)], 1e10j, -1, 1e100),
+                                               ([(20, 20)], 1e20, 1e-20, 1e-300), ([(20, 20)], 1e16, 1e-1, 1.0),
+                                               (EVEN_LAYERS, 1e10, 1.0, 1.0000000001e100)])
     def test_evaluate_where_the_powers_overflow(self, Q, x, y, want):
-        # x^q1 is beyond the float range, the term 1e-300 x^q1 y^q2 is not
-        assert series(40, {Q: 1e-300}).evaluate(x, y) == pytest.approx(want, rel=1e-14)
+        # 1e-300 at each index in Q: x^q1 is beyond the float range, the terms 1e-300 x^q1 y^q2 are not;
+        # with more terms than values of q1 the table of powers overflows, and each term is formed alone
+        assert series(40, dict.fromkeys(Q, 1e-300)).evaluate(x, y) == pytest.approx(want, rel=1e-14)
 
     def test_evaluate_term_beyond_the_float_range(self):
         # a term beyond the float range is inf of its sign; the terms before it keep their bits

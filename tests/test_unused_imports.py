@@ -8,7 +8,8 @@ package or the benchmark, but for a listed few kept by design.  Every public
 instance attribute that the package assigns is read by the package, the
 tests or the benchmark.  Only `multiseries` writes the slots of a series,
 and the refusal of the table rule and the term of a product are each
-written once."""
+written once.  Only the layer sweep decides the per-axis paths of a solve
+and calls `IndicialConic.divider`."""
 
 import ast
 from pathlib import Path
@@ -276,9 +277,9 @@ def writes_series_slot(node):
     return False
 
 
-def series_slot_writers(sources):
-    """(module, qualified function) for each function, outside multiseries.py,
-    that writes a series slot, in source order."""
+def scopes_where(sources, predicate):
+    """(module, qualified function) for each function that holds a node for
+    which predicate is true, in source order; "" for the module level."""
     found = []
 
     def visit(module, node, scope):
@@ -286,14 +287,19 @@ def series_slot_writers(sources):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(module, child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if writes_series_slot(child) and (module, scope) not in found:
+            if predicate(child) and (module, scope) not in found:
                 found.append((module, scope))
             visit(module, child, scope)
 
     for module, source in sources.items():
-        if module != "multiseries.py":
-            visit(module, ast.parse(source), "")
+        visit(module, ast.parse(source), "")
     return found
+
+
+def series_slot_writers(sources):
+    """(module, qualified function) for each function, outside multiseries.py,
+    that writes a series slot, in source order."""
+    return scopes_where({m: s for m, s in sources.items() if m != "multiseries.py"}, writes_series_slot)
 
 
 def test_only_multiseries_writes_series_slots():
@@ -306,6 +312,44 @@ def test_only_multiseries_writes_series_slots():
 def test_the_product_loop_has_one_owner():
     sources = [p.read_text() for p in FILES if p.parent.name == "frobpde"]
     assert sum(source.count(PRODUCT_TERM) for source in sources) == 1
+
+
+def calls(name):
+    """A predicate: whether a node calls a function or method of that name."""
+    return lambda node: isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None),
+                                                                getattr(node.func, "id", None))
+
+
+def plane_names(source):
+    """The names, attributes and imported names that the source reads with "plane" in them."""
+    return {n for node in ast.walk(ast.parse(source))
+            for n in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            if isinstance(n, str) and "plane" in n}
+
+
+def test_the_plane_paths_have_one_owner():
+    # the sweep decides the per-axis paths and builds the divide by P from its own decision
+    sources = {p.name: p.read_text() for p in FILES if p.parent.name == "frobpde"}
+    assert plane_names(sources["frobenius.py"]) == set()
+    assert scopes_where(sources, calls("divider")) == [("multiseries.py", "layer_sweep")]
+
+
+def test_checker_flags_a_plane_rule_and_a_divider_call():
+    sources = {
+        "a.py": (
+            "from m import spans_plane\n"
+            "def f(c, s):\n"
+            "    def g():\n"
+            "        return c.divider(0, 0, 4, spans_plane(s))\n"
+            "    return g\n"
+            "class K:\n"
+            "    def h(self, plane):\n"
+            "        return divider(plane)\n"
+            "divider(1)\n"
+        ),
+    }
+    assert plane_names(sources["a.py"]) == {"spans_plane", "plane"}
+    assert scopes_where(sources, calls("divider")) == [("a.py", "f.g"), ("a.py", "K.h"), ("a.py", "")]
 
 
 def test_checker_flags_a_series_slot_written_outside_multiseries():
